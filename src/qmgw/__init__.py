@@ -4,11 +4,9 @@ Fermat cubic pair, with verification suites for the differential-ring,
 anomaly-equation and operator-algebra structure tying the two together.
 """
 
-from ._backend import BACKEND
-
 __version__ = "0.1.0"
 
-from .series import LaurentSeries, PowerSeries
+from .series import PowerSeries
 from .modular import (
     QMPolynomial,
     eisenstein,
@@ -60,10 +58,8 @@ from .mirror import (
 )
 
 __all__ = [
-    "BACKEND",
     "__version__",
     "PowerSeries",
-    "LaurentSeries",
     "QMPolynomial",
     "eisenstein",
     "euler_function",

@@ -59,7 +59,7 @@ def prime_form_anomaly_check(z_order=9):
     report = CheckReport(f"prime-form anomaly, z-order {z_order}")
     theta = prime_form(z_order)
     oot = one_over_theta(z_order)
-    for n in range(theta.val, theta.order + 1):
+    for n in range(theta.start, theta.order + 1):
         lhs = d_dC2(theta.coefficient(n))
         rhs = -theta.coefficient(n - 2)
         report.add(
@@ -67,7 +67,7 @@ def prime_form_anomaly_check(z_order=9):
             lhs == rhs,
             "" if lhs == rhs else f"{lhs!r} != {rhs!r}",
         )
-    for n in range(oot.val, oot.order + 1):
+    for n in range(oot.start, oot.order + 1):
         lhs = d_dC2(oot.coefficient(n))
         rhs = oot.coefficient(n - 2)
         report.add(
@@ -136,13 +136,6 @@ def npoint_anomaly_formula(n=3):
         " on the cubic side the Kronecker delta on phi plays this role)",
     ]
     return "\n".join(lines)
-
-
-def hbar_grading_note():
-    return (
-        "hbar is tracked as a formal grading on operator terms only;"
-        " computed values never sum over it."
-    )
 
 
 def anomaly_power_rule_example(g):

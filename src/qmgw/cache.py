@@ -1,19 +1,47 @@
 """On-disk coefficient-table cache.
 
-Files are JSON keyed by (operation, parameters, code version); any
-mismatch on load is treated as a miss and forces a recompute, so stale
-caches can never change results.  Writes go through a temp file in the
-same directory followed by an atomic rename.
+Files are JSON keyed by (operation, parameters, code version), where the
+code version is a hash of the package's sources, and carry a SHA-256 of
+their payload.  Any mismatch on load, a payload that fails its checksum,
+or one that does not decode, is treated as a miss and forces a recompute,
+so stale or damaged caches can never change results.  Writes go through a
+temp file in the same directory followed by an atomic rename.
 """
 
 import hashlib
 import json
 import os
 import tempfile
+from functools import lru_cache
+from pathlib import Path
 
-from . import __version__
+from .errors import InvalidSeries
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
+
+#: what a decoder raises on a payload of the wrong shape or type
+MALFORMED = (
+    TypeError, ValueError, KeyError, AttributeError, ArithmeticError,
+    InvalidSeries,
+)
+
+
+@lru_cache(maxsize=None)
+def code_version():
+    """SHA-256 over the package's .py sources; computed once per process."""
+    digest = hashlib.sha256()
+    package = Path(__file__).resolve().parent
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def _checksum(payload):
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _key(operation, parameters):
@@ -33,16 +61,19 @@ def load(cache_dir, operation, parameters):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         return None
     if (
-        data.get("schema") != SCHEMA_VERSION
-        or data.get("code_version") != __version__
+        not isinstance(data, dict)
+        or data.get("schema") != SCHEMA_VERSION
+        or data.get("code_version") != code_version()
         or data.get("operation") != operation
         or data.get("parameters") != parameters
+        or "payload" not in data
+        or data.get("checksum") != _checksum(data["payload"])
     ):
         return None
-    return data.get("payload")
+    return data["payload"]
 
 
 def store(cache_dir, operation, parameters, payload):
@@ -51,10 +82,11 @@ def store(cache_dir, operation, parameters, payload):
     body = json.dumps(
         {
             "schema": SCHEMA_VERSION,
-            "code_version": __version__,
+            "code_version": code_version(),
             "operation": operation,
             "parameters": parameters,
             "payload": payload,
+            "checksum": _checksum(payload),
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -74,12 +106,18 @@ def store(cache_dir, operation, parameters, payload):
 
 
 def cached(config, operation, parameters, compute, encode, decode):
-    """Generic read-through helper honoring config.no_cache."""
+    """Generic read-through helper honoring config.no_cache.
+
+    A payload that `decode` rejects is a miss, like any other mismatch.
+    """
     if config.no_cache:
         return compute()
     payload = load(config.cache_dir, operation, parameters)
     if payload is not None:
-        return decode(payload)
+        try:
+            return decode(payload)
+        except MALFORMED:
+            pass
     value = compute()
     store(config.cache_dir, operation, parameters, encode(value))
     return value

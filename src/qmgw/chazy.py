@@ -105,13 +105,6 @@ def fjrw_genus1_series(order, theta_1_3=THETA_1_3):
     return f * rat(-1, 24)
 
 
-def eisenstein2_solves_chazy(order=30):
-    """Residual of E2 in the q-frame; zero to truncation when all is well."""
-    from .modular import eisenstein
-
-    return chazy_residual(eisenstein(2, order), THETA_Q)
-
-
 __all__ = [
     "ChazyInitialData",
     "THETA_1_3",
@@ -120,7 +113,6 @@ __all__ = [
     "chazy_solve_s",
     "genus_one_initial_data",
     "fjrw_genus1_series",
-    "eisenstein2_solves_chazy",
     "THETA_Q",
     "D_DS",
 ]

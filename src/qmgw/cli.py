@@ -143,12 +143,18 @@ def cmd_gw(args, config, out):
     if args.gw_command == "onepoint":
         genus = args.genus
         psi = args.psi
-        if psi is None:
-            if genus < 1:
-                raise InvalidSeries(
-                    "genus-0 one-point needs an explicit --psi (-2 or -1)"
-                )
+        if genus < 0:
+            raise InvalidSeries(f"genus must be >= 0, got {genus}")
+        if genus == 0:
+            if psi not in (-2, -1):
+                raise InvalidSeries("genus-0 one-point needs --psi -2 or -1")
+        elif psi is None:
             psi = 2 * genus - 2
+        elif psi != 2 * genus - 2:
+            raise InvalidSeries(
+                f"a genus-{genus} one-point invariant has psi-power "
+                f"{2 * genus - 2}, got --psi {psi}"
+            )
         legs = (psi,)
         qm = stationary_invariant(legs)
         records = [
@@ -327,6 +333,9 @@ def main(argv=None, out=None):
     args = parser.parse_args(argv)
     try:
         config = make_config(args)
+    except InsufficientOrder as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except QmgwError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

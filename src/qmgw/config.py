@@ -4,7 +4,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InvalidSeries
+from .errors import InsufficientOrder, InvalidSeries
 
 FORMATS = ("json", "csv", "text")
 
@@ -37,12 +37,15 @@ class RunConfig:
         self.cache_dir = Path(self.cache_dir)
         if self.fmt not in FORMATS:
             raise InvalidSeries(f"unknown output format {self.fmt!r}")
-        if self.q_order < MIN_Q_ORDER:
-            raise InvalidSeries(f"q-order must be >= {MIN_Q_ORDER}")
-        if self.s_order < MIN_S_ORDER:
-            raise InvalidSeries(f"s-order must be >= {MIN_S_ORDER}")
-        if self.z_order < MIN_Z_ORDER:
-            raise InvalidSeries(f"z-order must be >= {MIN_Z_ORDER}")
+        for name, value, floor in (
+            ("q-order", self.q_order, MIN_Q_ORDER),
+            ("s-order", self.s_order, MIN_S_ORDER),
+            ("z-order", self.z_order, MIN_Z_ORDER),
+        ):
+            if value < floor:
+                raise InsufficientOrder(
+                    f"{name} must be >= {floor}", required=floor
+                )
         if self.b_bound < 2:
             raise InvalidSeries("b-table bound must be >= 2")
         if self.margin < 1:

@@ -10,6 +10,7 @@ linear solve and verifies the fit on every remaining coefficient.
 """
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from ._backend import exp_mul_dict
 from .errors import InsufficientOrder, InvalidSeries, NotQuasiModular
@@ -64,7 +65,11 @@ def euler_function(order):
 
 
 class QMPolynomial:
-    """Polynomial in the generators E2, E4, E6 over the rationals."""
+    """Polynomial in the generators E2, E4, E6 over the rationals.
+
+    ``terms`` is a read-only mapping, so a cached value cannot be changed
+    by a caller.
+    """
 
     __slots__ = ("terms", "weight")
 
@@ -82,7 +87,7 @@ class QMPolynomial:
                         f"monomial E2^{a} E4^{b} E6^{c} breaks declared "
                         f"weight {weight}"
                     )
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
         self.weight = weight
 
     # -- constructors ------------------------------------------------------
@@ -208,6 +213,14 @@ class QMPolynomial:
 
     def __truediv__(self, scalar):
         return self * (ONE / rat(scalar))
+
+    def __rtruediv__(self, scalar):
+        """scalar / self; only the nonzero rational constants are units."""
+        if not self.is_constant() or self.is_zero():
+            raise InvalidSeries(
+                "only a nonzero rational constant generator polynomial is invertible"
+            )
+        return QMPolynomial.constant(rat(scalar) / self.constant_value())
 
     def __pow__(self, n):
         out = QMPolynomial.constant(ONE)

@@ -26,10 +26,6 @@ def rat(num, den=1):
     return Rational(num, den)
 
 
-def is_rational(x):
-    return isinstance(x, (int, type(ONE)))
-
-
 def rat_str(x):
     """Canonical 'numerator/denominator' form, denominator always explicit."""
     x = Rational(x)

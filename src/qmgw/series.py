@@ -1,13 +1,24 @@
-"""Truncated formal power/Laurent series with exact rational coefficients.
+"""Truncated formal power and Laurent series in one tagged variable.
 
-A :class:`PowerSeries` is a dense coefficient vector in one tagged formal
-variable, truncated at an explicit order D (coefficients for exponents
-0..D).  Arithmetic never extends a truncation: binary operations carry the
-minimum of the operand orders.  Variable tags are enforced at runtime so
-q-frame and s-frame objects cannot be mixed by accident.
+A :class:`PowerSeries` stores the coefficients of the exponents
+``start..order`` densely, ``coeffs[i]`` multiplying ``var^(start + i)``;
+everything above ``order`` is unknown, ``O(var^(order + 1))``.  Every
+series built as a power series has ``start == 0``; a Laurent series may
+start below 0.  Leading zero coefficients are kept, so a zero series keeps
+the precision it was computed to.
+
+Coefficients are exact rationals or elements of another commutative ring
+whose type provides ``zero()``, such as the generator polynomials of
+:mod:`qmgw.modular`.  Arithmetic never extends a truncation: a sum is
+known to the smaller of the two orders, and a product to
+``min(N_a + s_b, N_b + s_a)`` for orders ``N`` and starts ``s``.  Variable
+tags are enforced at runtime so q-frame and s-frame objects cannot be
+mixed by accident.
 
 Values are immutable after construction and safe to share across threads.
 """
+
+from numbers import Number
 
 from .errors import InvalidSeries, VariableMismatch
 from .rational import ONE, ZERO, rat
@@ -19,19 +30,44 @@ THETA_Q = "theta_q"  # q * d/dq
 D_DS = "d_ds"  # plain d/ds
 DERIVE_MODES = (THETA_Q, D_DS)
 
+# Coefficients and scalars of these types are coerced through rat.
+_SCALARS = (Number, str)
+
+
+def _check_tag(var):
+    if var not in VARIABLES:
+        raise InvalidSeries(f"unknown variable tag {var!r}")
+
 
 class PowerSeries:
-    """Σ_{n=0}^{D} c_n var^n, exact rational c_n."""
+    """Σ_{n=start}^{order} c_n var^n + O(var^(order+1))."""
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "coeffs", "start", "order", "_zero")
 
-    def __init__(self, var, coeffs):
-        if var not in VARIABLES:
-            raise InvalidSeries(f"unknown variable tag {var!r}")
+    def __init__(self, var, coeffs, start=0):
+        _check_tag(var)
+        coeffs = tuple(coeffs)
+        if not coeffs:
+            raise InvalidSeries("a truncated series needs at least one coefficient")
+        if isinstance(coeffs[0], _SCALARS):
+            coeffs = tuple(rat(c) for c in coeffs)
+            zero = ZERO
+        else:
+            zero = type(coeffs[0]).zero()
+        self._fill(var, coeffs, start, zero)
+
+    def _fill(self, var, coeffs, start, zero):
         self.var = var
-        self.coeffs = tuple(rat(c) for c in coeffs)
-        if not self.coeffs:
-            raise InvalidSeries("a truncated series needs at least order 0")
+        self.coeffs = coeffs
+        self.start = start
+        self.order = start + len(coeffs) - 1
+        self._zero = zero
+
+    def _like(self, coeffs, start, var=None):
+        """A result over the same ring; coefficients are taken as they are."""
+        out = object.__new__(PowerSeries)
+        out._fill(var or self.var, tuple(coeffs), start, self._zero)
+        return out
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -59,41 +95,54 @@ class PowerSeries:
         return cls(var, c)
 
     # -- basic queries ---------------------------------------------------
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
     def coefficient(self, n):
-        if n < 0 or n > self.order:
-            return ZERO
-        return self.coeffs[n]
+        i = n - self.start
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return self._zero
 
     def is_zero(self):
         return not any(self.coeffs)
 
     def valuation(self):
-        """Index of the first nonzero coefficient; None for the zero series."""
+        """Exponent of the first nonzero coefficient; None for the zero series."""
         for i, c in enumerate(self.coeffs):
             if c:
-                return i
+                return self.start + i
         return None
 
     def truncate(self, order):
         if order >= self.order:
             return self
-        return PowerSeries(self.var, self.coeffs[: order + 1])
+        if order < self.start:
+            raise InvalidSeries(
+                f"cannot truncate below the start exponent {self.start}"
+            )
+        return self._like(self.coeffs[: order - self.start + 1], self.start)
 
     def __eq__(self, other):
+        """Same variable, same order and the same coefficients up to it."""
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        if self.var != other.var or self.order != other.order:
+            return False
+        if self.start == other.start:
+            return self.coeffs == other.coeffs
+        return all(
+            self.coefficient(n) == other.coefficient(n)
+            for n in range(min(self.start, other.start), self.order + 1)
+        )
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        v = self.valuation()
+        known = () if v is None else self.coeffs[v - self.start :]
+        return hash((self.var, self.order, known))
 
     def __repr__(self):
         terms = [
-            f"{c}*{self.var}^{n}" for n, c in enumerate(self.coeffs) if c
+            f"{c}*{self.var}^{n}"
+            for n, c in enumerate(self.coeffs, self.start)
+            if c
         ]
         body = " + ".join(terms) if terms else "0"
         return f"<{body} + O({self.var}^{self.order + 1})>"
@@ -104,20 +153,34 @@ class PowerSeries:
                 f"cannot combine series in {self.var!r} and {other.var!r}"
             )
 
+    def _require_power_series(self, operation):
+        if self.start:
+            raise InvalidSeries(f"{operation} needs a series starting at exponent 0")
+
     # -- ring operations -------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, PowerSeries):
             return self + PowerSeries.constant(self.var, other, self.order)
         self._check_var(other)
-        n = min(self.order, other.order)
-        return PowerSeries(
-            self.var, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)]
+        if self.start == other.start:
+            # zip stops at the shorter operand: the smaller order
+            return self._like(
+                [a + b for a, b in zip(self.coeffs, other.coeffs)], self.start
+            )
+        start = min(self.start, other.start)
+        order = min(self.order, other.order)
+        return self._like(
+            [
+                self.coefficient(n) + other.coefficient(n)
+                for n in range(start, order + 1)
+            ],
+            start,
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PowerSeries(self.var, [-c for c in self.coeffs])
+        return self._like([-c for c in self.coeffs], self.start)
 
     def __sub__(self, other):
         if not isinstance(other, PowerSeries):
@@ -129,12 +192,15 @@ class PowerSeries:
 
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
-            c = rat(other)
-            return PowerSeries(self.var, [c * x for x in self.coeffs])
+            if isinstance(other, _SCALARS):
+                other = rat(other)
+            return self._like([c * other for c in self.coeffs], self.start)
         self._check_var(other)
-        n = min(self.order, other.order)
-        return PowerSeries(
-            self.var, conv_trunc(list(self.coeffs), list(other.coeffs), n, ZERO)
+        start = self.start + other.start
+        order = min(self.order + other.start, other.order + self.start)
+        return self._like(
+            conv_trunc(self.coeffs, other.coeffs, order - start, self._zero),
+            start,
         )
 
     __rmul__ = __mul__
@@ -147,36 +213,44 @@ class PowerSeries:
     def __pow__(self, k):
         if k < 0:
             return self.reciprocal() ** (-k)
-        result = PowerSeries.one(self.var, self.order)
+        if k == 0:
+            return PowerSeries.one(self.var, self.order)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     # -- inverse / transcendental ----------------------------------------
     def reciprocal(self):
-        """1/self; requires an invertible (nonzero) constant term."""
-        a0 = self.coeffs[0]
-        if not a0:
-            raise InvalidSeries("reciprocal needs a unit constant term")
-        n = self.order
-        inv0 = ONE / a0
-        out = [ZERO] * (n + 1)
+        """1/self; the coefficient at the start exponent must be a unit.
+
+        The result starts at -start and is known to order - 2*start.
+        """
+        a = self.coeffs
+        if not a[0]:
+            raise InvalidSeries("reciprocal needs a unit leading coefficient")
+        inv0 = ONE / a[0]
+        n = len(a) - 1
+        zero = self._zero
+        out = [zero] * (n + 1)
         out[0] = inv0
         for k in range(1, n + 1):
-            acc = ZERO
+            acc = zero
             for i in range(1, k + 1):
-                ai = self.coeffs[i]
+                ai = a[i]
                 if ai:
-                    acc += ai * out[k - i]
+                    acc = acc + ai * out[k - i]
             out[k] = -inv0 * acc
-        return PowerSeries(self.var, out)
+        return self._like(out, -self.start)
 
     def exp(self):
         """exp(self); requires zero constant term."""
+        self._require_power_series("exp")
         if self.coeffs[0]:
             raise InvalidSeries("exp needs a zero constant term")
         n = self.order
@@ -189,10 +263,11 @@ class PowerSeries:
                 if ai:
                     acc += i * ai * out[k - i]
             out[k] = acc / k
-        return PowerSeries(self.var, out)
+        return self._like(out, 0)
 
     def log(self):
         """log(self); requires constant term exactly 1."""
+        self._require_power_series("log")
         if self.coeffs[0] != ONE:
             raise InvalidSeries("log needs constant term 1")
         n = self.order
@@ -203,7 +278,7 @@ class PowerSeries:
                 if out[i]:
                     acc += i * out[i] * self.coeffs[k - i]
             out[k] = self.coeffs[k] - acc / k
-        return PowerSeries(self.var, out)
+        return self._like(out, 0)
 
     def compose(self, inner):
         """self(inner); inner must have zero constant term.
@@ -212,6 +287,8 @@ class PowerSeries:
         """
         if not isinstance(inner, PowerSeries):
             raise InvalidSeries("compose expects a series argument")
+        self._require_power_series("compose")
+        inner._require_power_series("compose")
         if inner.coeffs[0]:
             raise InvalidSeries("compose needs inner constant term 0")
         n = min(self.order, inner.order)
@@ -224,41 +301,37 @@ class PowerSeries:
 
     # -- calculus ----------------------------------------------------------
     def derive(self, mode):
-        """Primed derivative: theta_q is var*d/dvar, d_ds is plain d/dvar."""
-        if mode == THETA_Q:
-            return PowerSeries(
-                self.var, [n * c for n, c in enumerate(self.coeffs)]
-            )
-        if mode == D_DS:
-            if self.order == 0:
-                return PowerSeries.zero(self.var, 0)
-            return PowerSeries(
-                self.var,
-                [n * self.coeffs[n] for n in range(1, self.order + 1)],
-            )
-        raise InvalidSeries(f"unknown derivative mode {mode!r}")
+        """Primed derivative: theta_q is var*d/dvar, d_ds is plain d/dvar.
 
-    def integrate_ds(self, constant=ZERO):
-        """Antiderivative for d/ds; inverse of derive(D_DS) up to constant."""
-        out = [rat(constant)]
-        for n, c in enumerate(self.coeffs):
-            out.append(c / (n + 1))
-        return PowerSeries(self.var, out)
+        d_ds lowers start and order by one, except that a series starting
+        at 0 loses its constant term and keeps start 0; the derivative of
+        an order-0 series is the zero series of order 0.
+        """
+        if mode not in DERIVE_MODES:
+            raise InvalidSeries(f"unknown derivative mode {mode!r}")
+        out = [n * c for n, c in enumerate(self.coeffs, self.start)]
+        if mode == THETA_Q:
+            return self._like(out, self.start)
+        if self.start:
+            return self._like(out, self.start - 1)
+        return self._like(out[1:] or [self._zero], 0)
 
     def subst_power(self, k):
         """Substitute var -> var^k (k >= 1), truncated at the same order."""
+        self._require_power_series("subst_power")
         if k < 1:
             raise InvalidSeries("subst_power needs k >= 1")
         out = [ZERO] * (self.order + 1)
         for n, c in enumerate(self.coeffs):
             if c and n * k <= self.order:
                 out[n * k] = c
-        return PowerSeries(self.var, out)
+        return self._like(out, 0)
 
     def shift(self, k):
         """Multiply by var^k (k >= 0), truncating at the same order."""
+        self._require_power_series("shift")
         out = [ZERO] * k + list(self.coeffs)
-        return PowerSeries(self.var, out[: self.order + 1])
+        return self._like(out[: self.order + 1], 0)
 
     def divide(self, other):
         """Exact series division self/other for series of equal valuation.
@@ -270,150 +343,19 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return self * (ONE / rat(other))
         self._check_var(other)
+        self._require_power_series("divide")
+        other._require_power_series("divide")
         v = other.valuation()
         if v is None:
             raise InvalidSeries("division by the zero series")
         if v and any(self.coeffs[:v]):
             raise InvalidSeries("division would produce negative exponents")
         n = min(self.order, other.order) - v
-        num = PowerSeries(self.var, self.coeffs[v : v + n + 1])
-        den = PowerSeries(self.var, other.coeffs[v : v + n + 1])
+        num = self._like(self.coeffs[v : v + n + 1], 0)
+        den = other._like(other.coeffs[v : v + n + 1], 0)
         return num * den.reciprocal()
 
     def retag(self, var):
         """Same coefficients, different formal variable (explicit reframing)."""
-        return PowerSeries(var, self.coeffs)
-
-
-# Module-level aliases matching the operation names used throughout.
-def mul(a, b):
-    return a * b
-
-
-def reciprocal(a):
-    return a.reciprocal()
-
-
-def exp(a):
-    return a.exp()
-
-
-def log(a):
-    return a.log()
-
-
-def compose(f, g):
-    return f.compose(g)
-
-
-def derive(a, mode):
-    return a.derive(mode)
-
-
-class LaurentSeries:
-    """Σ_{n=v}^{D} c_n var^n with possibly negative valuation v.
-
-    Invariant: the leading stored coefficient is nonzero unless the series
-    is identically zero (in which case valuation is normalized to 0).
-    """
-
-    __slots__ = ("var", "val", "coeffs")
-
-    def __init__(self, var, val, coeffs):
-        coeffs = [rat(c) for c in coeffs]
-        # normalize: strip leading zeros, keep truncation order fixed
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            val += 1
-        if not coeffs:
-            val = 0
-            coeffs = [ZERO]
-        self.var = var
-        self.val = val
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def from_power_series(cls, ps):
-        return cls(ps.var, 0, list(ps.coeffs))
-
-    @property
-    def order(self):
-        """Largest represented exponent."""
-        return self.val + len(self.coeffs) - 1
-
-    def coefficient(self, n):
-        i = n - self.val
-        if i < 0 or i >= len(self.coeffs):
-            return ZERO
-        return self.coeffs[i]
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (
-            self.var == other.var
-            and self.val == other.val
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        terms = [
-            f"{c}*{self.var}^{self.val + i}"
-            for i, c in enumerate(self.coeffs)
-            if c
-        ]
-        body = " + ".join(terms) if terms else "0"
-        return f"<{body} + O({self.var}^{self.order + 1})>"
-
-    def _check_var(self, other):
-        if self.var != other.var:
-            raise VariableMismatch(
-                f"cannot combine series in {self.var!r} and {other.var!r}"
-            )
-
-    def __add__(self, other):
-        self._check_var(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        val = min(self.val, other.val)
-        order = min(self.order, other.order)
-        out = [
-            self.coefficient(n) + other.coefficient(n)
-            for n in range(val, order + 1)
-        ]
-        return LaurentSeries(self.var, val, out)
-
-    def __neg__(self):
-        return LaurentSeries(self.var, self.val, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentSeries):
-            c = rat(other)
-            return LaurentSeries(self.var, self.val, [c * x for x in self.coeffs])
-        self._check_var(other)
-        if self.is_zero() or other.is_zero():
-            return LaurentSeries(self.var, 0, [ZERO])
-        n = min(len(self.coeffs), len(other.coeffs)) - 1
-        out = conv_trunc(list(self.coeffs), list(other.coeffs), n, ZERO)
-        return LaurentSeries(self.var, self.val + other.val, out)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self):
-        """1/self; valuation negates, product with self is 1 to truncation."""
-        if self.is_zero():
-            raise InvalidSeries("reciprocal of the zero Laurent series")
-        unit = PowerSeries(self.var, self.coeffs)
-        return LaurentSeries(self.var, -self.val, unit.reciprocal().coeffs)
-
-
-def reciprocal_laurent(a):
-    return a.reciprocal()
+        _check_tag(var)
+        return self._like(self.coeffs, self.start, var)

@@ -17,129 +17,15 @@ table packages the reciprocal-sigma coefficients the same way.
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 
-from ._backend import conv_trunc
 from .errors import InconsistentTables, InvalidSeries
 from .modular import E2, E4, E6, QMPolynomial, bernoulli, reduce_e2k
 from .rational import ONE, ZERO, rat
+from .series import D_DS, PowerSeries
 
 QM_ZERO = QMPolynomial.zero()
 QM_ONE = QMPolynomial.constant(ONE)
-
-
-class ZLaurent:
-    """Laurent series in z with QMPolynomial coefficients.
-
-    Stored densely from the valuation up to a truncation order; leading
-    coefficient nonzero unless the series is zero.
-    """
-
-    __slots__ = ("val", "coeffs")
-
-    def __init__(self, val, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            val += 1
-        if not coeffs:
-            val = 0
-            coeffs = [QM_ZERO]
-        self.val = val
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def order(self):
-        return self.val + len(self.coeffs) - 1
-
-    def coefficient(self, n):
-        i = n - self.val
-        if i < 0 or i >= len(self.coeffs):
-            return QM_ZERO
-        return self.coeffs[i]
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, ZLaurent):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.val == other.val and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        bits = [
-            f"({c!r})*z^{self.val + i}"
-            for i, c in enumerate(self.coeffs)
-            if not c.is_zero()
-        ]
-        return "<" + (" + ".join(bits) or "0") + f" + O(z^{self.order + 1})>"
-
-    def __add__(self, other):
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        val = min(self.val, other.val)
-        order = min(self.order, other.order)
-        return ZLaurent(
-            val,
-            [self.coefficient(n) + other.coefficient(n)
-             for n in range(val, order + 1)],
-        )
-
-    def __neg__(self):
-        return ZLaurent(self.val, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, ZLaurent):
-            if self.is_zero() or other.is_zero():
-                return ZLaurent(0, [QM_ZERO])
-            n = min(len(self.coeffs), len(other.coeffs)) - 1
-            out = conv_trunc(list(self.coeffs), list(other.coeffs), n, QM_ZERO)
-            return ZLaurent(self.val + other.val, out)
-        if isinstance(other, QMPolynomial):
-            return ZLaurent(self.val, [c * other for c in self.coeffs])
-        c = rat(other)
-        return ZLaurent(self.val, [x * c for x in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def reciprocal(self):
-        """1/self; needs an invertible (constant) leading coefficient."""
-        if self.is_zero():
-            raise InvalidSeries("reciprocal of the zero z-series")
-        lead = self.coeffs[0]
-        if not lead.is_constant():
-            raise InvalidSeries(
-                "leading z-coefficient must be a rational constant to invert"
-            )
-        inv0 = QMPolynomial.constant(ONE / lead.constant_value())
-        n = len(self.coeffs) - 1
-        out = [QM_ZERO] * (n + 1)
-        out[0] = inv0
-        for k in range(1, n + 1):
-            acc = QM_ZERO
-            for i in range(1, k + 1):
-                ai = self.coeffs[i]
-                if ai:
-                    acc = acc + ai * out[k - i]
-            out[k] = -(inv0 * acc)
-        return ZLaurent(-self.val, out)
-
-    def derive_z(self):
-        """d/dz, including negative exponents."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            n = self.val + i
-            out.append(c * n)
-        if self.val == 0:
-            out.pop(0)
-            return ZLaurent(0, out)
-        return ZLaurent(self.val - 1, out)
 
 
 def _exp_power_part(coeffs_by_exp, order):
@@ -193,7 +79,7 @@ def sigma_tilde(z_order):
         _log_prime_form_exponent(z_order - 1, include_weight_two=False),
         z_order - 1,
     )
-    return ZLaurent(1, body)
+    return PowerSeries("z", body, 1)
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +92,8 @@ def weierstrass_a(bound):
 
     Filled in increasing total z-degree 4m + 6n, within which the first
     term refers to the same degree: the recursion is run in decreasing n
-    so a_{m+1,n-1} is already known.
+    so a_{m+1,n-1} is already known.  The cached table is returned
+    read-only.
     """
     table = {(0, 0): ONE}
 
@@ -229,7 +116,7 @@ def weierstrass_a(bound):
                 + rat(16, 3) * (n + 1) * get(m - 2, n + 1)
                 - rat(1, 6) * (w - 1) * (w - 2) * get(m - 1, n)
             )
-    return dict(table)
+    return MappingProxyType(table)
 
 
 def _qm_e4_e6_block(m, n):
@@ -251,7 +138,7 @@ def sigma_tilde_from_table(z_order):
             coeffs[e] = coeffs[e] + _qm_e4_e6_block(m, n) * (
                 a / factorial(e + 1)
             )
-    return ZLaurent(1, coeffs)
+    return PowerSeries("z", coeffs, 1)
 
 
 @lru_cache(maxsize=None)
@@ -260,7 +147,7 @@ def b_table(bound):
 
     Computed by Laurent reciprocal and coefficient matching; the matching
     must consume every monomial (anything left over signals a rescaling
-    bug and raises).
+    bug and raises).  The cached table is returned read-only.
     """
     recip = sigma_tilde(bound + 1).reciprocal()
     table = {}
@@ -279,7 +166,7 @@ def b_table(bound):
                 f"1/sigma~ coefficient at z^{degree - 1} has monomials "
                 f"outside the (E4/24, -E6/108) lattice: {sorted(remaining)}"
             )
-    return dict(table)
+    return MappingProxyType(table)
 
 
 @dataclass(frozen=True)
@@ -287,8 +174,8 @@ class WeierstrassTable:
     """Both recursion tables, keyed by (m, n) with 4m + 6n <= bound."""
 
     bound: int
-    a: dict
-    b: dict
+    a: MappingProxyType
+    b: MappingProxyType
 
 
 def weierstrass_table(bound):
@@ -304,13 +191,13 @@ def prime_form(z_order):
     """
     if z_order < 1:
         raise InvalidSeries("prime_form needs z-order >= 1")
-    direct = ZLaurent(
-        1,
+    direct = PowerSeries(
+        "z",
         _exp_power_part(_log_prime_form_exponent(z_order - 1), z_order - 1),
+        1,
     )
-    e2_factor = ZLaurent(
-        0,
-        _exp_power_part({2: E2 * rat(1, 24)}, z_order - 1),
+    e2_factor = PowerSeries(
+        "z", _exp_power_part({2: E2 * rat(1, 24)}, z_order - 1)
     )
     via_sigma = e2_factor * sigma_tilde(z_order)
     if direct != via_sigma:
@@ -330,8 +217,8 @@ def one_over_theta(z_order):
 def log_theta_minus_log_z(z_order):
     """ln Theta - ln z = sum_{k>=1} B_{2k}/(2k(2k)!) E_{2k} z^{2k}, dense."""
     exponent = _log_prime_form_exponent(z_order, include_weight_two=True)
-    return ZLaurent(
-        0, [exponent.get(k, QM_ZERO) for k in range(z_order + 1)]
+    return PowerSeries(
+        "z", [exponent.get(k, QM_ZERO) for k in range(z_order + 1)]
     )
 
 
@@ -345,20 +232,20 @@ def log_theta_deriv(m, z_order):
         raise InvalidSeries("log_theta_deriv needs m >= 1")
     body = log_theta_minus_log_z(z_order + m)
     for _ in range(m):
-        body = body.derive_z()
+        body = body.derive(D_DS)
     coeffs = [QM_ZERO] * (z_order + m + 1)
     coeffs[0] = QMPolynomial.constant(rat((-1) ** (m - 1) * factorial(m - 1)))
     for n in range(-m + 1, z_order + 1):
         coeffs[n + m] = body.coefficient(n)
-    return ZLaurent(-m, coeffs)
+    return PowerSeries("z", coeffs, -m)
 
 
 def theta_z_derivative(m, z_order):
-    """Theta^{(m)}(z) as a ZLaurent (power series; termwise derivative)."""
+    """Theta^{(m)}(z) to order z_order (power series; termwise derivative)."""
     out = prime_form(z_order + m)
     for _ in range(m):
-        out = out.derive_z()
-    return ZLaurent(out.val, out.coeffs[: z_order - out.val + 1])
+        out = out.derive(D_DS)
+    return out.truncate(z_order)
 
 
 def onepoint_qm(g, z_order=None):

@@ -3,6 +3,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from qmgw import cache
 from qmgw.cli import main
 
 
@@ -78,6 +81,37 @@ class TestGwCommands:
             ["gw", "npoint", "--legs", "1", "--psi", "-5", "--no-cache"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "genus, psi", [("5", "0"), ("1", "2"), ("0", "0"), ("0", None), ("-1", "-2")]
+    )
+    def test_onepoint_psi_must_match_genus_exit_2(self, genus, psi, capsys):
+        argv = ["gw", "onepoint", "--genus", genus, "--no-cache"]
+        if psi is not None:
+            argv += ["--psi", psi]
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("genus, psi", [("3", "4"), ("0", "-1")])
+    def test_onepoint_matching_psi_accepted(self, genus, psi):
+        code, out = run_cli(
+            ["gw", "onepoint", "--genus", genus, "--psi", psi, "--no-cache"]
+        )
+        assert code == 0
+        (record,) = parse_json_lines(out)
+        assert record["genus"] == int(genus)
+
+    @pytest.mark.parametrize(
+        "flag, value, floor",
+        [("--order", "3", 4), ("--s-order", "2", 3), ("--z-order", "2", 3)],
+    )
+    def test_order_below_floor_exit_3(self, flag, value, floor, capsys):
+        code, _ = run_cli(
+            ["gw", "onepoint", "--genus", "1", flag, value, "--no-cache"]
+        )
+        assert code == 3
+        assert f">= {floor}" in capsys.readouterr().err
 
 
 class TestFjrwCommands:
@@ -205,6 +239,42 @@ class TestDeterminismAndCache:
         cache_file.write_text(json.dumps(blob))
         code, again = run_cli(args)
         assert code == 0 and again == cold
+
+    def test_changed_payload_digit_recomputes(self, tmp_path):
+        args = ["tables", "b", "--bound", "12", "--cache-dir", str(tmp_path)]
+        _, cold = run_cli(args)
+        (cache_file,) = tmp_path.glob("weierstrass-b-*.json")
+        body = cache_file.read_text()
+        start = body.index('"payload":')
+        end = body.index("]]", start)
+        i = max(j for j in range(start, end) if body[j] in "123456789")
+        digit = "2" if body[i] == "1" else "1"
+        cache_file.write_text(body[:i] + digit + body[i + 1 :])
+        code, warm = run_cli(args)
+        assert code == 0 and warm == cold
+        assert cache.load(tmp_path, "weierstrass-b", {"bound": 12}) is not None
+
+    @pytest.mark.parametrize(
+        "payload", [{"m": 0}, [[0, 0]], [[0, 0, 1]], [[0, 0, "1/0"]], "1/1"]
+    )
+    def test_malformed_payload_recomputes(self, tmp_path, payload):
+        args = ["tables", "a", "--bound", "8", "--cache-dir", str(tmp_path)]
+        _, cold = run_cli(args + ["--no-cache"])
+        cache.store(tmp_path, "weierstrass-a", {"bound": 8}, payload)
+        code, warm = run_cli(args)
+        assert code == 0 and warm == cold
+
+    def test_source_hash_change_is_a_miss(self, tmp_path, monkeypatch):
+        params = {"bound": 8}
+        cache.store(tmp_path, "weierstrass-a", params, [[0, 0, "1/1"]])
+        assert cache.load(tmp_path, "weierstrass-a", params) == [[0, 0, "1/1"]]
+        monkeypatch.setattr(cache, "code_version", lambda: "0" * 64)
+        assert cache.load(tmp_path, "weierstrass-a", params) is None
+
+    def test_code_version_hashes_the_sources(self):
+        version = cache.code_version()
+        assert len(version) == 64 and version != "0.1.0"
+        assert cache.code_version() is version
 
     def test_cache_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CACHE_DIR", str(tmp_path / "envcache"))

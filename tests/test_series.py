@@ -5,16 +5,7 @@ from hypothesis import strategies as st
 from conftest import coeff_lists
 from qmgw.errors import InvalidSeries, VariableMismatch
 from qmgw.rational import ONE, ZERO, rat
-from qmgw.series import (
-    D_DS,
-    THETA_Q,
-    LaurentSeries,
-    PowerSeries,
-    compose,
-    derive,
-    mul,
-    reciprocal_laurent,
-)
+from qmgw.series import D_DS, THETA_Q, PowerSeries
 
 
 def series(var, *coeffs):
@@ -29,11 +20,11 @@ class TestMul:
     def test_difference_of_squares(self):
         one_plus = series("q", 1, 1, 0, 0)
         one_minus = series("q", 1, -1, 0, 0)
-        assert mul(one_plus, one_minus) == series("q", 1, 0, -1, 0)
+        assert one_plus * one_minus == series("q", 1, 0, -1, 0)
 
     def test_multiplicative_identity(self):
         f = series("q", 3, "-1/2", 7, "2/5")
-        assert mul(f, PowerSeries.one("q", 3)) == f
+        assert f * PowerSeries.one("q", 3) == f
 
     def test_geometric_series_inverts_one_minus_q(self):
         order = 12
@@ -41,11 +32,11 @@ class TestMul:
         one_minus = PowerSeries.one("q", order) - PowerSeries.identity(
             "q", order
         )
-        assert mul(geometric, one_minus) == PowerSeries.one("q", order)
+        assert geometric * one_minus == PowerSeries.one("q", order)
 
     def test_variable_mismatch_rejected(self):
         with pytest.raises(VariableMismatch):
-            mul(series("q", 1, 2), series("s", 1, 2))
+            series("q", 1, 2) * series("s", 1, 2)
 
     def test_truncation_takes_minimum(self):
         a = PowerSeries.one("q", 9)
@@ -110,7 +101,7 @@ class TestInverseAndTranscendental:
 class TestCompose:
     def test_inner_constant_rejected(self):
         with pytest.raises(InvalidSeries):
-            compose(series("q", 1, 1), series("q", 1, 1))
+            series("q", 1, 1).compose(series("q", 1, 1))
 
     @given(q_series(6), q_series(6))
     def test_horner_matches_power_accumulation(self, f, g):
@@ -120,31 +111,31 @@ class TestCompose:
         for k in range(7):
             expected = expected + f.coefficient(k) * power
             power = power * inner
-        assert compose(f, inner) == expected
+        assert f.compose(inner) == expected
 
     def test_compose_retags_to_inner_variable(self):
         f = series("x", 1, 2, 3)
         g = series("q", 0, 1, 1)
-        assert compose(f, g).var == "q"
+        assert f.compose(g).var == "q"
 
 
 class TestDerive:
     def test_theta_q_on_eisenstein_leading(self):
         from qmgw.modular import eisenstein
 
-        d = derive(eisenstein(2, 6), THETA_Q)
+        d = eisenstein(2, 6).derive(THETA_Q)
         assert d.coefficient(0) == ZERO
         assert d.coefficient(1) == rat(-24)
 
     def test_d_ds_drops_an_order(self):
         f = series("s", 5, 1, 3)
-        assert derive(f, D_DS) == series("s", 1, 6)
+        assert f.derive(D_DS) == series("s", 1, 6)
 
     @given(q_series(6), q_series(6))
     def test_derivation_property_both_modes(self, a, b):
         for mode in (THETA_Q, D_DS):
-            lhs = derive(a * b, mode)
-            rhs = derive(a, mode) * b + a * derive(b, mode)
+            lhs = (a * b).derive(mode)
+            rhs = a.derive(mode) * b + a * b.derive(mode)
             assert lhs == rhs.truncate(lhs.order)
 
     def test_divide_with_common_valuation(self):
@@ -157,34 +148,34 @@ class TestDerive:
 
 class TestLaurent:
     def test_reciprocal_of_z(self):
-        z = LaurentSeries("z", 1, [ONE])
-        r = reciprocal_laurent(z)
-        assert r.val == -1 and r.coefficient(-1) == ONE
+        z = PowerSeries("z", [ONE], 1)
+        r = z.reciprocal()
+        assert r.start == -1 and r.coefficient(-1) == ONE
 
     def test_reciprocal_newton_oracle(self):
         # f = z + z^3 c/24; Newton iteration b <- b(2 - f b) from b = 1/z
         c = rat(5)
-        f = LaurentSeries("z", 1, [ONE, ZERO, c / 24, ZERO, ZERO, ZERO])
-        b = LaurentSeries("z", -1, [ONE, ZERO, ZERO, ZERO, ZERO, ZERO])
-        two = LaurentSeries("z", 0, [rat(2), ZERO, ZERO, ZERO, ZERO, ZERO])
+        f = PowerSeries("z", [ONE, ZERO, c / 24, ZERO, ZERO, ZERO], 1)
+        b = PowerSeries("z", [ONE, ZERO, ZERO, ZERO, ZERO, ZERO], -1)
+        two = PowerSeries("z", [rat(2), ZERO, ZERO, ZERO, ZERO, ZERO], 0)
         for _ in range(4):
             b = b * (two - f * b)
-        r = reciprocal_laurent(f)
+        r = f.reciprocal()
         for n in range(-1, 4):
             assert r.coefficient(n) == b.coefficient(n)
         assert r.coefficient(1) == -c / 24
 
     def test_reciprocal_involution(self):
-        f = LaurentSeries("z", -2, [rat(3), rat(1), rat(4), rat(1), rat(5)])
-        assert reciprocal_laurent(reciprocal_laurent(f)) == f
+        f = PowerSeries("z", [rat(3), rat(1), rat(4), rat(1), rat(5)], -2)
+        assert f.reciprocal().reciprocal() == f
 
     def test_zero_input_rejected(self):
         with pytest.raises(InvalidSeries):
-            reciprocal_laurent(LaurentSeries("z", 0, [ZERO]))
+            PowerSeries("z", [ZERO], 0).reciprocal()
 
     def test_valuation_negates(self):
-        f = LaurentSeries("z", 3, [rat(2), rat(1)])
-        assert reciprocal_laurent(f).val == -3
+        f = PowerSeries("z", [rat(2), rat(1)], 3)
+        assert f.reciprocal().start == -3
 
     @given(
         st.integers(min_value=-3, max_value=3),
@@ -192,8 +183,8 @@ class TestLaurent:
     )
     def test_product_with_reciprocal_is_one(self, val, coeffs):
         coeffs = [ONE] + list(coeffs[1:])
-        f = LaurentSeries("z", val, coeffs)
-        product = f * reciprocal_laurent(f)
+        f = PowerSeries("z", coeffs, val)
+        product = f * f.reciprocal()
         assert product.coefficient(0) == ONE
         for n in range(1, 4):
             assert product.coefficient(n) == ZERO

@@ -3,8 +3,8 @@ import pytest
 from qmgw.errors import InvalidSeries
 from qmgw.modular import E2, E4, QMPolynomial, qm_eval, quasimodularize
 from qmgw.rational import ONE, rat
+from qmgw.series import D_DS, PowerSeries
 from qmgw.theta import (
-    ZLaurent,
     b_table,
     log_theta_deriv,
     one_over_theta,
@@ -56,6 +56,13 @@ class TestWeierstrassTables:
         # sum over 2l+4m+6n = 4 of the b-formula equals [z^3](1/Theta)
         assert onepoint_from_b(2) == one_over_theta(7).coefficient(3)
 
+    def test_cached_tables_are_read_only(self):
+        for table in (weierstrass_a(6), b_table(6)):
+            with pytest.raises(TypeError):
+                table[(0, 0)] = 5
+        assert weierstrass_a(6)[(0, 0)] == ONE
+        assert b_table(6)[(0, 0)] == ONE
+
     def test_table_wrapper(self):
         t = weierstrass_table(10)
         assert t.a[(0, 0)] == ONE and t.b[(0, 0)] == ONE
@@ -97,13 +104,13 @@ class TestPrimeForm:
 class TestLogThetaDeriv:
     def test_first_derivative(self):
         d1 = log_theta_deriv(1, 6)
-        assert d1.val == -1
+        assert d1.start == -1
         assert d1.coefficient(-1) == QM1
         assert d1.coefficient(1) == E2 * rat(1, 12)
 
     def test_second_derivative(self):
         d2 = log_theta_deriv(2, 6)
-        assert d2.val == -2
+        assert d2.start == -2
         assert d2.coefficient(-2) == -QM1
 
     def test_m_zero_rejected(self):
@@ -114,7 +121,7 @@ class TestLogThetaDeriv:
         # d/dz of log-derivative order m gives order m+1
         d1 = log_theta_deriv(1, 8)
         d2 = log_theta_deriv(2, 7)
-        stepped = d1.derive_z()
+        stepped = d1.derive(D_DS)
         for n in range(-2, 6):
             assert stepped.coefficient(n) == d2.coefficient(n)
 
@@ -129,6 +136,11 @@ class TestLogThetaDeriv:
 
 class TestOnePointTower:
     def test_genus_one(self):
+        assert onepoint_qm(1) == E2 * rat(-1, 24)
+
+    def test_cached_polynomial_is_read_only(self):
+        with pytest.raises(TypeError):
+            onepoint_qm(1).terms[(1, 0, 0)] = 99
         assert onepoint_qm(1) == E2 * rat(-1, 24)
 
     def test_genus_two(self):
@@ -154,15 +166,18 @@ class TestOnePointTower:
 
 
 class TestZLaurent:
-    def test_normalization_strips_leading_zeros(self):
-        z = ZLaurent(-2, [QMPolynomial.zero(), QM1, QM1])
-        assert z.val == -1
+    """Laurent series in z with generator-polynomial coefficients."""
+
+    def test_valuation_skips_leading_zeros(self):
+        z = PowerSeries("z", [QMPolynomial.zero(), QM1, QM1], -2)
+        assert z.valuation() == -1
+        assert z.start == -2 and z.order == 0
 
     def test_reciprocal_requires_constant_lead(self):
         with pytest.raises(InvalidSeries):
-            ZLaurent(0, [E2]).reciprocal()
+            PowerSeries("z", [E2]).reciprocal()
 
     def test_mul_valuations_add(self):
-        a = ZLaurent(2, [QM1, QM1])
-        b = ZLaurent(-1, [QM1, QM1])
-        assert (a * b).val == 1
+        a = PowerSeries("z", [QM1, QM1], 2)
+        b = PowerSeries("z", [QM1, QM1], -1)
+        assert (a * b).valuation() == 1
