@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedInsertion,
 )
 from .modular import eisenstein, qm_eval
-from .npoint import MAX_LEGS, connected_stationary, stationary_invariant
+from .npoint import connected_stationary, stationary_invariant
 from .rational import parse_rat, rat_str
 from .records import SERIALIZERS, InvariantRecord
 from .theta import b_table, weierstrass_a
@@ -178,8 +178,8 @@ def cmd_gw(args, config, out):
         raise UnsupportedInsertion(
             f"--legs {args.legs} but {len(legs)} psi-powers given"
         )
-    if not 1 <= len(legs) <= MAX_LEGS:
-        raise UnsupportedInsertion(f"leg count must be 1..{MAX_LEGS}")
+    if not legs:
+        raise UnsupportedInsertion("leg count must be >= 1")
     if any(l < -2 for l in legs):
         raise UnsupportedInsertion("psi-powers must be >= -2")
     value = (

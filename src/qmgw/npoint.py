@@ -24,8 +24,10 @@ from math import factorial
 
 from ._backend import exp_mul_dict_capped
 from .errors import InsufficientOrder, InvalidSeries
-from .modular import QMPolynomial
+from .hurwitz import bracket
+from .modular import QMPolynomial, quasimodularize, weight_basis
 from .rational import ONE, rat
+from .series import PowerSeries
 from .theta import (
     QM_ONE,
     QM_ZERO,
@@ -388,14 +390,16 @@ def stationary_invariant(legs, z_order=None):
 
     `legs` is a tuple of psi-powers l_i >= -2; the result is the
     coefficient of prod z_i^{l_i+1} in the N-point series, a generator
-    polynomial of weight sum(l_i + 2).
+    polynomial of weight sum(l_i + 2).  Any N is served: a lone leg reads
+    1/Theta, two or more are the completed-cycles q-bracket fitted back
+    to the generators, and the determinant assembly `npoint` stays as the
+    independent cross-check.
     """
     legs = tuple(legs)
     if not legs:
         raise InvalidSeries("need at least one leg")
     if any(l < -2 for l in legs):
         raise InvalidSeries("psi-powers must be >= -2")
-    n = len(legs)
     exponents = tuple(l + 1 for l in legs)
     needed = max(0, sum(exponents))
     if z_order is None:
@@ -405,7 +409,19 @@ def stationary_invariant(legs, z_order=None):
             f"legs {legs} need z-order >= {needed}", required=needed
         )
     weight = sum(l + 2 for l in legs)
-    value = npoint(n, z_order).coefficient(exponents)
+    # a z^{-1} coefficient (psi-power -2) contributes the factor 1
+    exponents = tuple(sorted(e for e in exponents if e != -1))
+    if 0 in exponents or weight % 2:
+        value = QM_ZERO
+    elif not exponents:
+        value = QM_ONE
+    elif len(exponents) == 1:
+        value = npoint(1, max(z_order, exponents[0])).coefficient(exponents)
+    else:
+        q_order = len(weight_basis(weight)) + 9
+        value = quasimodularize(
+            PowerSeries("q", bracket(exponents, q_order)), weight, margin=10
+        )
     w = value.homogeneous_weight()
     if w is not None and not value.is_zero() and w != weight:
         raise InvalidSeries(

@@ -303,6 +303,24 @@ def suite_weights(config):
         "" if ok else f"first failure at exponents {bad}",
     )
     report.add("two-point series symmetric", f2.is_symmetric())
+    top = min(6, f2.cap)
+    pairs = [
+        (e1, e2) for e1 in range(-1, top + 2) for e2 in range(-1, top - e1 + 1)
+    ]
+    bad = next(
+        (
+            key
+            for key in pairs
+            if stationary_invariant((key[0] - 1, key[1] - 1))
+            != f2.coefficient(key)
+        ),
+        None,
+    )
+    report.add(
+        "completed-cycles route equals determinant assembly",
+        bad is None,
+        "" if bad is None else f"first failure at exponents {bad}",
+    )
     for legs in [(0,), (2,), (0, 0), (1, 1)]:
         val = stationary_invariant(legs)
         w = sum(l + 2 for l in legs)

@@ -169,6 +169,14 @@ class TestCorrelation:
         d = one.derive(D_DS)
         assert two.truncate(d.order) == d
 
+    def test_five_phi_is_fourth_derivative(self, frame):
+        five = fjrw_correlation([FjrwInsertion("phi")] * 5, frame)
+        d = fjrw_correlation([FjrwInsertion("phi")], frame)
+        for _ in range(4):
+            d = d.derive(D_DS)
+        assert isinstance(five, PowerSeries)
+        assert five.truncate(d.order) == d
+
     def test_odd_pair_vanishes(self, frame):
         out = fjrw_correlation(
             [FjrwInsertion("b1"), FjrwInsertion("b1")], frame

@@ -7,6 +7,8 @@ import pytest
 
 from qmgw import cache
 from qmgw.cli import main
+from qmgw.modular import E2, ramanujan_derive
+from qmgw.rational import rat, rat_str
 
 
 def run_cli(argv):
@@ -55,6 +57,25 @@ class TestGwCommands:
         assert record["payload"] == [
             {"a": 0, "b": 1, "c": 0, "coeff": "1/288"},
             {"a": 2, "b": 0, "c": 0, "coeff": "-1/288"},
+        ]
+
+    def test_npoint_five_legs(self):
+        code, out = run_cli(
+            [
+                "gw", "npoint", "--legs", "5", "--psi", "0,0,0,0,0",
+                "--connected", "--no-cache",
+            ]
+        )
+        assert code == 0
+        (record,) = parse_json_lines(out)
+        # divisor equation: the connected (0,...,0) value is D^{N-1} C2
+        expected = E2 * rat(-1, 24)
+        for _ in range(4):
+            expected = ramanujan_derive(expected)
+        assert record["genus"] == 1
+        assert record["payload"] == [
+            {"a": a, "b": b, "c": c, "coeff": rat_str(v)}
+            for (a, b, c), v in expected.sorted_terms()
         ]
 
     def test_q_expansion_attached(self):

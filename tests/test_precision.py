@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from conftest import rationals
 from qmgw.cayley import cayley_frame
 from qmgw.chazy import chazy_solve_s, genus_one_initial_data
+from qmgw.mirror import alpha
 from qmgw.modular import QMPolynomial, eisenstein
+from qmgw.npoint import npoint
 from qmgw.series import PowerSeries
 from qmgw.theta import one_over_theta, prime_form, sigma_tilde
 
@@ -87,6 +89,13 @@ def assert_stable(build, n, k):
     assert build(n + k).truncate(low.order) == low
 
 
+def assert_npoint_stable(n_legs, z, k):
+    """npoint(N, z + k) restricted to total degree <= z is npoint(N, z)."""
+    high = npoint(n_legs, z + k)
+    low = {key: v for key, v in high.data.items() if sum(key) <= z}
+    assert low == npoint(n_legs, z).data
+
+
 class TestBuilderPrecision:
     @given(ORDERS, EXTRA)
     def test_prime_form(self, n, k):
@@ -113,3 +122,15 @@ class TestBuilderPrecision:
     def test_cayley_frame(self, n, k):
         for i in range(3):
             assert_stable(lambda order: cayley_frame(order).gens()[i], n, k)
+
+    @given(ORDERS, EXTRA)
+    def test_alpha(self, n, k):
+        assert_stable(alpha, n, k)
+
+    @given(st.integers(min_value=0, max_value=6), EXTRA)
+    def test_npoint_two_legs(self, z, k):
+        assert_npoint_stable(2, z, k)
+
+    @given(st.integers(min_value=0, max_value=2), EXTRA)
+    def test_npoint_three_legs(self, z, k):
+        assert_npoint_stable(3, z, k)
