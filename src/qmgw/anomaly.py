@@ -13,6 +13,7 @@ specialization is what gets verified numerically.
 """
 
 from dataclasses import dataclass, field
+from math import factorial
 
 from .cayley import cayley_frame, cayley_transform, fjrw_onepoint_all_genus
 from .modular import QMPolynomial
@@ -140,13 +141,5 @@ def npoint_anomaly_formula(n=3):
 
 def anomaly_power_rule_example(g):
     """(-E2/24)^g / g! differentiates to the (g-1) analogue."""
-    c2_power = (QMPolynomial.e2() * rat(-1, 24)) ** g * rat(
-        1, _factorial(g)
-    )
+    c2_power = (QMPolynomial.e2() * rat(-1, 24)) ** g * rat(1, factorial(g))
     return d_dC2(c2_power)
-
-
-def _factorial(n):
-    from math import factorial
-
-    return factorial(n)

@@ -23,7 +23,7 @@ from .modular import qm_eval
 from .npoint import connected_stationary
 from .rational import ONE, ZERO, rat
 from .series import PowerSeries
-from .theta import b_table, onepoint_qm
+from .theta import b_table_onepoint
 
 TAU_STAR_NOTE = "tau* = -(i/sqrt(3)) * exp(2*pi*i/3)  (elliptic point, not evaluated)"
 SCALE_NOTE = (
@@ -126,26 +126,12 @@ def fjrw_onepoint_all_genus(g, frame, bound=None):
     """
     if g < 1:
         raise InvalidSeries("one-point tower starts at genus 1")
-    if bound is None:
-        bound = 2 * g
-    table = b_table(max(bound, 2 * g))
-    order = frame.order
-    out = PowerSeries.zero("s", order)
-    ce2_24 = frame.e2 * rat(-1, 24)
-    ce4_24 = frame.e4 * rat(1, 24)
-    ce6_108 = frame.e6 * rat(-1, 108)
-    for m in range(g // 2 + 1):
-        for n in range(g // 3 + 1):
-            if 2 * m + 3 * n > g:
-                continue
-            l = g - 2 * m - 3 * n
-            b = table.get((m, n), ZERO)
-            if not b:
-                continue
-            out = out + (b / factorial(l)) * (
-                (ce2_24 ** l) * (ce4_24 ** m) * (ce6_108 ** n)
-            )
-    return out
+    images = (
+        frame.e2 * rat(-1, 24),
+        frame.e4 * rat(1, 24),
+        frame.e6 * rat(-1, 108),
+    )
+    return b_table_onepoint(g, images, bound)
 
 
 def fjrw_correlation(insertions, frame):
@@ -234,11 +220,6 @@ def genus_zero_data():
     )
 
 
-def gw_onepoint_qm(g):
-    """Curve-side one-point invariant (weight-2g generator polynomial)."""
-    return onepoint_qm(g)
-
-
 __all__ = [
     "CayleyFrame",
     "FjrwInsertion",
@@ -253,5 +234,4 @@ __all__ = [
     "fjrw_primary_genus1_invariants",
     "fjrw_genus1_series",
     "genus_zero_data",
-    "gw_onepoint_qm",
 ]

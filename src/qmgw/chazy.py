@@ -28,10 +28,6 @@ class ChazyInitialData:
     f2: object
 
 
-def _third(f, mode):
-    return f.derive(mode).derive(mode).derive(mode)
-
-
 def chazy_residual(f, mode):
     """2f''' - 2 f f'' + 3 (f')^2 with the primed derivative of `mode`."""
     if mode not in DERIVE_MODES:

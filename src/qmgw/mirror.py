@@ -133,13 +133,11 @@ def appendix_identity_checks(order=12):
     )
     # theta_q log alpha = theta_q alpha / alpha handles the q-valuation
     dlog_alpha = al.derive(THETA_Q).divide(al)
-    one_minus = 1 - al
-    dlog_oneminus = one_minus.derive(THETA_Q) * one_minus.reciprocal()
     record(
         "(v) -E2(q^3)/8 = theta_q(-log A/2 - log(alpha^3 (1-alpha))/24)",
         e2_q3 * rat(-1, 8),
         _theta_log(a) * rat(-1, 2)
-        - (3 * dlog_alpha + dlog_oneminus) * rat(1, 24),
+        - (3 * dlog_alpha + _theta_log(1 - al)) * rat(1, 24),
     )
     record(
         "A = 2F1(1/3, 2/3; 1; alpha)",

@@ -228,9 +228,6 @@ class QMPolynomial:
             out = out * self
         return out
 
-    def without_weight(self):
-        return QMPolynomial(self.terms, None)
-
     def with_weight(self, w):
         return QMPolynomial(self.terms, w)
 

@@ -20,7 +20,7 @@ Values are immutable after construction and safe to share across threads.
 
 from numbers import Number
 
-from .errors import InvalidSeries, VariableMismatch
+from .errors import InsufficientOrder, InvalidSeries, VariableMismatch
 from .rational import ONE, ZERO, rat
 from ._backend import conv_trunc
 
@@ -254,14 +254,15 @@ class PowerSeries:
         if self.coeffs[0]:
             raise InvalidSeries("exp needs a zero constant term")
         n = self.order
-        out = [ZERO] * (n + 1)
-        out[0] = ONE
+        zero = self._zero
+        out = [zero] * (n + 1)
+        out[0] = zero + 1
         for k in range(1, n + 1):
-            acc = ZERO
+            acc = zero
             for i in range(1, k + 1):
                 ai = self.coeffs[i]
                 if ai:
-                    acc += i * ai * out[k - i]
+                    acc = acc + i * ai * out[k - i]
             out[k] = acc / k
         return self._like(out, 0)
 
@@ -304,8 +305,8 @@ class PowerSeries:
         """Primed derivative: theta_q is var*d/dvar, d_ds is plain d/dvar.
 
         d_ds lowers start and order by one, except that a series starting
-        at 0 loses its constant term and keeps start 0; the derivative of
-        an order-0 series is the zero series of order 0.
+        at 0 loses its constant term and keeps start 0; an order-0 series
+        starting at 0 has no known coefficient left and is refused.
         """
         if mode not in DERIVE_MODES:
             raise InvalidSeries(f"unknown derivative mode {mode!r}")
@@ -314,7 +315,12 @@ class PowerSeries:
             return self._like(out, self.start)
         if self.start:
             return self._like(out, self.start - 1)
-        return self._like(out[1:] or [self._zero], 0)
+        if len(out) == 1:
+            raise InsufficientOrder(
+                f"d/d{self.var} of an order-0 series leaves nothing known",
+                required=1,
+            )
+        return self._like(out[1:], 0)
 
     def subst_power(self, k):
         """Substitute var -> var^k (k >= 1), truncated at the same order."""

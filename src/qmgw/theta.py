@@ -1,17 +1,22 @@
 """Prime form, Weierstrass sigma machinery and the one-point tower.
 
 Everything lives in a rescaled odd variable z in which all coefficients are
-rational polynomials in the generators: the prime form is
+rational polynomials in the generators.  The production route is the
+classical a_{m,n} recursion: it gives the rescaled Weierstrass sigma
+
+    sigma~(z) = sum a_{m,n}/(4m+6n+1)! (E4/24)^m (-E6/108)^n z^{4m+6n+1},
+
+and the prime form is Theta(z) = exp(E2 z^2 / 24) * sigma~(z).  The same
+object is also
 
     Theta(z) = z * exp( sum_{k>=1} B_{2k}/(2k (2k)!) * E_{2k} * z^{2k} ),
 
-with E_{2k} for k >= 2 reduced into Q[E4, E6].  The same object factors as
-exp(E2 z^2 / 24) * sigma~(z) where sigma~ is the (rescaled) Weierstrass
-sigma; its Taylor coefficients are also produced by the classical a_{m,n}
-recursion, giving an independent second route that prime_form checks.
-The Laurent reciprocal 1/Theta is the one-point generating function, and
-its z^{2g-1} coefficients are the genus-g one-point invariants; the b_{m,n}
-table packages the reciprocal-sigma coefficients the same way.
+with E_{2k} for k >= 4 fitted into Q[E4, E6] from q-expansions; that
+exponential is the second route `verify prime-form` checks the recursion
+against, and log_theta_deriv reads its exponent.  The Laurent reciprocal
+1/Theta is the one-point generating function, and its z^{2g-1}
+coefficients are the genus-g one-point invariants; the b_{m,n} table
+packages the reciprocal-sigma coefficients the same way.
 """
 
 from dataclasses import dataclass
@@ -26,60 +31,6 @@ from .series import D_DS, PowerSeries
 
 QM_ZERO = QMPolynomial.zero()
 QM_ONE = QMPolynomial.constant(ONE)
-
-
-def _exp_power_part(coeffs_by_exp, order):
-    """exp of sum c_k z^k (no constant term) as dense QM coefficients 0..order.
-
-    Uses the f' = a' f recurrence over the polynomial coefficient ring.
-    """
-    a = [coeffs_by_exp.get(k, QM_ZERO) for k in range(order + 1)]
-    out = [QM_ZERO] * (order + 1)
-    out[0] = QM_ONE
-    for k in range(1, order + 1):
-        acc = QM_ZERO
-        for i in range(1, k + 1):
-            if a[i]:
-                acc = acc + (a[i] * i) * out[k - i]
-        out[k] = acc * rat(1, k)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _reduced_e2k(k):
-    """E_{2k} as a QMPolynomial: generator for k <= 3, reduced beyond."""
-    if k == 1:
-        return E2
-    if k == 2:
-        return E4
-    if k == 3:
-        return E6
-    return reduce_e2k(2 * k)
-
-
-def _log_prime_form_exponent(z_order, include_weight_two=True):
-    """{2k: B_{2k}/(2k (2k)!) * E_{2k}} for 2k <= z_order."""
-    out = {}
-    for k in range(1 if include_weight_two else 2, z_order // 2 + 1):
-        coeff = bernoulli(2 * k) / (2 * k * factorial(2 * k))
-        out[2 * k] = _reduced_e2k(k) * coeff
-    return out
-
-
-@lru_cache(maxsize=None)
-def sigma_tilde(z_order):
-    """Rescaled Weierstrass sigma: z*exp(sum_{k>=2} B_{2k}/(2k(2k)!) E_{2k} z^{2k}).
-
-    Equals 2*pi*i times the classical sigma in the rescaled variable, so
-    every coefficient is a rational polynomial in E4, E6 alone.
-    """
-    if z_order < 1:
-        raise InvalidSeries("sigma_tilde needs z-order >= 1")
-    body = _exp_power_part(
-        _log_prime_form_exponent(z_order - 1, include_weight_two=False),
-        z_order - 1,
-    )
-    return PowerSeries("z", body, 1)
 
 
 @lru_cache(maxsize=None)
@@ -125,16 +76,22 @@ def _qm_e4_e6_block(m, n):
     return QMPolynomial({(0, m, n): c})
 
 
-def sigma_tilde_from_table(z_order):
-    """Second route to sigma~ via the a_{m,n} recursion:
+@lru_cache(maxsize=None)
+def sigma_tilde(z_order):
+    """Rescaled Weierstrass sigma from the a_{m,n} recursion:
 
         sigma~(z) = sum a_{m,n}/(4m+6n+1)! (E4/24)^m (-E6/108)^n z^{4m+6n+1}.
+
+    Equals 2*pi*i times the classical sigma in the rescaled variable, so
+    every coefficient is a rational polynomial in E4, E6 alone.
     """
-    table = weierstrass_a(max(z_order - 1, 0))
+    if z_order < 1:
+        raise InvalidSeries("sigma_tilde needs z-order >= 1")
+    table = weierstrass_a(z_order - 1)
     coeffs = [QM_ZERO] * z_order
     for (m, n), a in table.items():
         e = 4 * m + 6 * n
-        if e <= z_order - 1 and a:
+        if a:
             coeffs[e] = coeffs[e] + _qm_e4_e6_block(m, n) * (
                 a / factorial(e + 1)
             )
@@ -184,27 +141,23 @@ def weierstrass_table(bound):
 
 @lru_cache(maxsize=None)
 def prime_form(z_order):
-    """Theta(z) = z exp(sum_{k>=1} B_{2k}/(2k(2k)!) E_{2k} z^{2k}).
-
-    Assembled both directly and as exp(E2 z^2/24) * sigma~(z); the two
-    routes must agree coefficientwise.
-    """
+    """Theta(z) = exp(E2 z^2/24) * sigma~(z)."""
     if z_order < 1:
         raise InvalidSeries("prime_form needs z-order >= 1")
-    direct = PowerSeries(
-        "z",
-        _exp_power_part(_log_prime_form_exponent(z_order - 1), z_order - 1),
-        1,
-    )
-    e2_factor = PowerSeries(
-        "z", _exp_power_part({2: E2 * rat(1, 24)}, z_order - 1)
-    )
-    via_sigma = e2_factor * sigma_tilde(z_order)
-    if direct != via_sigma:
-        raise InconsistentTables(
-            "prime form routes disagree (exponential vs E2-factored sigma)"
-        )
-    return direct
+    e2_exponent = [QM_ZERO] * z_order
+    if z_order > 2:
+        e2_exponent[2] = E2 * rat(1, 24)
+    return PowerSeries("z", e2_exponent).exp() * sigma_tilde(z_order)
+
+
+def prime_form_exponential(z_order):
+    """Theta(z) = z exp(sum_{k>=1} B_{2k}/(2k(2k)!) E_{2k} z^{2k}).
+
+    The second route to the prime form, through the fitted E_{2k}; verify
+    and the tests compare it with prime_form.
+    """
+    body = log_theta_minus_log_z(z_order - 1).exp()
+    return PowerSeries("z", body.coeffs, 1)
 
 
 @lru_cache(maxsize=None)
@@ -216,10 +169,11 @@ def one_over_theta(z_order):
 @lru_cache(maxsize=None)
 def log_theta_minus_log_z(z_order):
     """ln Theta - ln z = sum_{k>=1} B_{2k}/(2k(2k)!) E_{2k} z^{2k}, dense."""
-    exponent = _log_prime_form_exponent(z_order, include_weight_two=True)
-    return PowerSeries(
-        "z", [exponent.get(k, QM_ZERO) for k in range(z_order + 1)]
-    )
+    coeffs = [QM_ZERO] * (z_order + 1)
+    for k in range(1, z_order // 2 + 1):
+        e2k = (E2, E4, E6)[k - 1] if k <= 3 else reduce_e2k(2 * k)
+        coeffs[2 * k] = e2k * (bernoulli(2 * k) / (2 * k * factorial(2 * k)))
+    return PowerSeries("z", coeffs)
 
 
 def log_theta_deriv(m, z_order):
@@ -255,16 +209,18 @@ def onepoint_qm(g, z_order=None):
     return one_over_theta(max(z_order, 2 * g + 1)).coefficient(2 * g - 1)
 
 
-def onepoint_from_b(g, bound=None):
-    """The same invariant from the b-table route:
+def b_table_onepoint(g, images, bound=None):
+    """The genus-g sum of the b-table in any ring:
 
-        sum_{l+2m+3n=g} (b_{m,n}/l!) (-E2/24)^l (E4/24)^m (-E6/108)^n.
+        sum_{l+2m+3n=g} (b_{m,n}/l!) c2^l c4^m c6^n,
+
+    where images = (c2, c4, c6) are the images of -E2/24, E4/24, -E6/108.
     """
     if bound is None:
         bound = 2 * g
     table = b_table(max(bound, 2 * g))
-    out = QMPolynomial.zero()
-    neg_e2_24 = E2 * rat(-1, 24)
+    c2, c4, c6 = images
+    out = None
     for m in range(g // 2 + 1):
         for n in range(g // 3 + 1):
             if 2 * m + 3 * n > g:
@@ -273,7 +229,12 @@ def onepoint_from_b(g, bound=None):
             b = table.get((m, n), ZERO)
             if not b:
                 continue
-            out = out + (neg_e2_24 ** l) * _qm_e4_e6_block(m, n) * (
-                b / factorial(l)
-            )
+            term = (b / factorial(l)) * ((c2 ** l) * (c4 ** m) * (c6 ** n))
+            out = term if out is None else out + term
     return out
+
+
+def onepoint_from_b(g, bound=None):
+    """The one-point invariant from the b-table route, in Q[E2, E4, E6]."""
+    images = (E2 * rat(-1, 24), E4 * rat(1, 24), E6 * rat(-1, 108))
+    return b_table_onepoint(g, images, bound)

@@ -175,23 +175,6 @@ class DiffOperator:
             {k: c * v for k, v in self.linear},
         )
 
-    def plus(self, other):
-        aff = dict(self.affine)
-        for k, v in other.affine:
-            s = aff.get(k, ZERO) + v
-            if s:
-                aff[k] = s
-            else:
-                aff.pop(k, None)
-        lin = dict(self.linear)
-        for k, v in other.linear:
-            s = lin.get(k, ZERO) + v
-            if s:
-                lin[k] = s
-            else:
-                lin.pop(k, None)
-        return DiffOperator.build(aff, lin)
-
     def commutator(self, other):
         """[self, other] inside the affine + linear class.
 

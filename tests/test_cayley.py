@@ -13,13 +13,13 @@ from qmgw.cayley import (
     fjrw_onepoint_all_genus,
     fjrw_primary_genus1_invariants,
     genus_zero_data,
-    gw_onepoint_qm,
 )
 from qmgw.chazy import D_DS
 from qmgw.errors import InsufficientOrder, InvalidSeries, UnsupportedInsertion
 from qmgw.modular import E2, QMPolynomial, ramanujan_derive
 from qmgw.rational import ONE, ZERO, rat
 from qmgw.series import PowerSeries
+from qmgw.theta import onepoint_qm
 
 # golden data: first 12 s-coefficients of the frame, pinned after the
 # first verified build (regression guard, not an oracle)
@@ -144,7 +144,7 @@ class TestOnePointTower:
     def test_route_equality_to_genus_seven(self, frame):
         for g in range(1, 8):
             direct = fjrw_onepoint_all_genus(g, frame)
-            transported = cayley_transform(gw_onepoint_qm(g), frame)
+            transported = cayley_transform(onepoint_qm(g), frame)
             assert direct == transported
 
     def test_genus_zero_rejected(self, frame):

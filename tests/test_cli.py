@@ -192,6 +192,24 @@ class TestVerifyCommand:
         code, out = run_cli(["verify", "nonsense", "--no-cache"])
         assert code == 2
 
+    def test_raising_suite_becomes_a_fail_row(self, monkeypatch):
+        from qmgw import verify
+        from qmgw.errors import InvalidSeries
+
+        def broken(config):
+            raise InvalidSeries("inexact division")
+
+        monkeypatch.setitem(verify.SUITES, "weights", broken)
+        code, out = run_cli(["verify", "all", "--no-cache"])
+        assert code == 1
+        assert (
+            "[weights]\n  FAIL  suite ran to completion  "
+            "(InvalidSeries: inexact division)\n"
+        ) in out
+        assert "PASS  E2 satisfies the q-frame equation" in out
+        assert "PASS  one-point transport at genus 7" in out
+        assert out.endswith("verify: FAIL\n")
+
     def test_mirror_suite_records_relation(self):
         code, out = run_cli(["verify", "mirror", "--no-cache"])
         assert code == 0

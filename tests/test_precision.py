@@ -1,17 +1,24 @@
 """Truncation orders are explicit: a declared O(x^N) never overstates what
 is known, for the series type itself and for every public builder."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rationals
 from qmgw.cayley import cayley_frame
 from qmgw.chazy import chazy_solve_s, genus_one_initial_data
+from qmgw.errors import InsufficientOrder
 from qmgw.mirror import alpha
 from qmgw.modular import QMPolynomial, eisenstein
 from qmgw.npoint import npoint
-from qmgw.series import PowerSeries
-from qmgw.theta import one_over_theta, prime_form, sigma_tilde
+from qmgw.series import D_DS, PowerSeries
+from qmgw.theta import (
+    one_over_theta,
+    prime_form,
+    prime_form_exponential,
+    sigma_tilde,
+)
 
 STARTS = st.integers(min_value=-3, max_value=3)
 LENGTHS = st.integers(min_value=1, max_value=6)
@@ -74,6 +81,14 @@ class TestSeriesPrecision:
         for n in range(product.order + 1):
             assert bool(product.coefficient(n)) == (n == 0)
 
+    @given(RINGS.flatmap(lambda ring: ring[0]))
+    def test_derivative_of_order_zero_series_is_refused(self, c):
+        # d/ds (c + O(s)) is O(s^0): no coefficient of it is known
+        with pytest.raises(InsufficientOrder) as info:
+            PowerSeries("s", [c]).derive(D_DS)
+        assert info.value.required == 1
+        assert PowerSeries("s", [c], 1).derive(D_DS).order == 0
+
     def test_zero_series_equality_respects_order(self):
         z = PowerSeries.zero("q", 3)
         assert z == PowerSeries("q", [0, 0], 2)
@@ -104,6 +119,10 @@ class TestBuilderPrecision:
     @given(ORDERS, EXTRA)
     def test_sigma_tilde(self, n, k):
         assert_stable(sigma_tilde, n, k)
+
+    @given(ORDERS, EXTRA)
+    def test_prime_form_exponential(self, n, k):
+        assert_stable(prime_form_exponential, n, k)
 
     @given(ORDERS, EXTRA)
     def test_one_over_theta(self, n, k):

@@ -59,6 +59,16 @@ class TestInverseAndTranscendental:
         with pytest.raises(InvalidSeries):
             series("q", 1, 1).exp()
 
+    def test_exp_over_generator_polynomials(self):
+        from qmgw.modular import E2, E4, E6, QMPolynomial
+
+        zero = QMPolynomial.zero()
+        a = PowerSeries("z", [zero, E2, zero, E4 * rat(1, 3), zero, zero])
+        b = PowerSeries("z", [zero, zero, E6 * rat(-2), zero, E2 * E4, E4])
+        assert (a + b).exp() == a.exp() * b.exp()
+        assert a.exp().coefficient(0) == QMPolynomial.constant(ONE)
+        assert a.exp().coefficient(2) == E2 * E2 * rat(1, 2)
+
     def test_log_requires_unit_constant(self):
         with pytest.raises(InvalidSeries):
             series("q", 2, 1).log()

@@ -1,6 +1,7 @@
 import pytest
 
-from qmgw.errors import InvalidSeries
+from qmgw import modular, theta
+from qmgw.errors import InvalidSeries, NotQuasiModular
 from qmgw.modular import E2, E4, QMPolynomial, qm_eval, quasimodularize
 from qmgw.rational import ONE, rat
 from qmgw.series import D_DS, PowerSeries
@@ -11,8 +12,8 @@ from qmgw.theta import (
     onepoint_from_b,
     onepoint_qm,
     prime_form,
+    prime_form_exponential,
     sigma_tilde,
-    sigma_tilde_from_table,
     theta_z_derivative,
     weierstrass_a,
     weierstrass_table,
@@ -36,7 +37,23 @@ class TestSigma:
             assert s.coefficient(n).is_zero()
 
     def test_two_routes_agree(self):
-        assert sigma_tilde(15) == sigma_tilde_from_table(15)
+        assert prime_form(15) == prime_form_exponential(15)
+
+    def test_production_route_fits_no_q_expansion(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise NotQuasiModular("q-expansion fit on the production route")
+
+        monkeypatch.setattr(modular, "quasimodularize", refuse)
+        modular.reduce_e2k.cache_clear()
+        for value in vars(theta).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        assert prime_form(30).order == 30
+        assert sigma_tilde(30).order == 30
+        assert one_over_theta(30).order == 28
+        assert b_table(30)[(0, 0)] == ONE
+        with pytest.raises(NotQuasiModular):
+            prime_form_exponential(30)
 
 
 class TestWeierstrassTables:
