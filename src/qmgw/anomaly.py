@@ -28,8 +28,7 @@ def d_dC2(p):
         if a:
             key = (a - 1, b, c)
             out[key] = out.get(key, 0) + (-24) * a * v
-    w = p.weight - 2 if p.weight is not None else None
-    return QMPolynomial(out, w if out else None)
+    return QMPolynomial(out)
 
 
 @dataclass

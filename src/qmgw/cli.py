@@ -300,6 +300,8 @@ def cmd_tables(args, config, out):
         return 0
 
     bound = args.bound if args.bound is not None else config.b_bound
+    if bound < 0:
+        raise InvalidSeries("table bound must be >= 0")
     table_fn = weierstrass_a if args.table == "a" else b_table
 
     def compute():

@@ -2,8 +2,8 @@
 
 QMPolynomial is the symbolic representation of correlation functions: a
 map from exponent triples (a, b, c) <-> E2^a E4^b E6^c to rational
-coefficients, optionally carrying a declared weight w (every monomial then
-satisfies 2a + 4b + 6c = w).  The Ramanujan identities make the ring
+coefficients; the weight is read off the terms (2a + 4b + 6c when every
+monomial agrees on it).  The Ramanujan identities make the ring
 closed under the primed derivative, and `quasimodularize` inverts
 q-expansion: it fits a q-series to the weight-w monomial basis by an exact
 linear solve and verifies the fit on every remaining coefficient.
@@ -68,48 +68,52 @@ class QMPolynomial:
     """Polynomial in the generators E2, E4, E6 over the rationals.
 
     ``terms`` is a read-only mapping, so a cached value cannot be changed
-    by a caller.
+    by a caller; the weight is read off the terms.  Public construction
+    coerces every coefficient through ``rat``; results of ring operations
+    are built by ``_of`` and skip that pass, as ``PowerSeries._like`` does.
     """
 
-    __slots__ = ("terms", "weight")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=None, weight=None):
+        """`weight`, when given, is asserted for a nonzero polynomial."""
         clean = {}
         if terms:
             for key, c in terms.items():
                 c = rat(c)
                 if c:
                     clean[tuple(key)] = c
-        if weight is not None:
-            for (a, b, c) in clean:
-                if 2 * a + 4 * b + 6 * c != weight:
-                    raise InvalidSeries(
-                        f"monomial E2^{a} E4^{b} E6^{c} breaks declared "
-                        f"weight {weight}"
-                    )
         self.terms = MappingProxyType(clean)
-        self.weight = weight
+        if weight is not None and clean and self.weight != weight:
+            raise InvalidSeries(f"{self!r} is not of declared weight {weight}")
+
+    @classmethod
+    def _of(cls, clean):
+        """Wrap a dict of tuple keys and nonzero rationals; no copy, no rat."""
+        out = object.__new__(cls)
+        out.terms = MappingProxyType(clean)
+        return out
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def zero(cls, weight=None):
-        return cls({}, weight)
+    def zero(cls):
+        return cls._of({})
 
     @classmethod
     def constant(cls, value):
-        return cls({(0, 0, 0): rat(value)}, None)
+        return cls({(0, 0, 0): value})
 
     @classmethod
     def e2(cls):
-        return cls({(1, 0, 0): ONE}, 2)
+        return cls({(1, 0, 0): ONE})
 
     @classmethod
     def e4(cls):
-        return cls({(0, 1, 0): ONE}, 4)
+        return cls({(0, 1, 0): ONE})
 
     @classmethod
     def e6(cls):
-        return cls({(0, 0, 1): ONE}, 6)
+        return cls({(0, 0, 1): ONE})
 
     # -- queries -------------------------------------------------------------
     def __bool__(self):
@@ -127,8 +131,9 @@ class QMPolynomial:
     def coefficient(self, a, b, c):
         return self.terms.get((a, b, c), ZERO)
 
-    def homogeneous_weight(self):
-        """The common weight of all monomials, or None if mixed/zero."""
+    @property
+    def weight(self):
+        """The common 2a + 4b + 6c of the monomials, or None if zero/mixed."""
         weights = {2 * a + 4 * b + 6 * c for (a, b, c) in self.terms}
         if len(weights) == 1:
             return weights.pop()
@@ -160,15 +165,6 @@ class QMPolynomial:
         return "QM<" + " + ".join(bits) + ">"
 
     # -- ring operations -----------------------------------------------------
-    def _merge_weight(self, other):
-        if self.weight is not None and self.weight == other.weight:
-            return self.weight
-        if self.is_zero() and other.weight is not None:
-            return other.weight
-        if other.is_zero() and self.weight is not None:
-            return self.weight
-        return None
-
     def __add__(self, other):
         if not isinstance(other, QMPolynomial):
             other = QMPolynomial.constant(other)
@@ -179,14 +175,12 @@ class QMPolynomial:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return QMPolynomial(out, self._merge_weight(other))
+        return QMPolynomial._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QMPolynomial(
-            {k: -v for k, v in self.terms.items()}, self.weight
-        )
+        return QMPolynomial._of({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, QMPolynomial):
@@ -200,14 +194,9 @@ class QMPolynomial:
         if not isinstance(other, QMPolynomial):
             c = rat(other)
             if not c:
-                return QMPolynomial.zero(self.weight)
-            return QMPolynomial(
-                {k: c * v for k, v in self.terms.items()}, self.weight
-            )
-        w = None
-        if self.weight is not None and other.weight is not None:
-            w = self.weight + other.weight
-        return QMPolynomial(exp_mul_dict(self.terms, other.terms), w)
+                return QMPolynomial.zero()
+            return QMPolynomial._of({k: c * v for k, v in self.terms.items()})
+        return QMPolynomial._of(exp_mul_dict(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -223,13 +212,12 @@ class QMPolynomial:
         return QMPolynomial.constant(rat(scalar) / self.constant_value())
 
     def __pow__(self, n):
+        if n < 0:
+            return (1 / self) ** -n
         out = QMPolynomial.constant(ONE)
         for _ in range(n):
             out = out * self
         return out
-
-    def with_weight(self, w):
-        return QMPolynomial(self.terms, w)
 
 
 E2 = QMPolynomial.e2()
@@ -240,7 +228,7 @@ E6 = QMPolynomial.e6()
 def ramanujan_derive(p):
     """The derivation with E2'=(E2^2-E4)/12, E4'=(E2E4-E6)/3, E6'=(E2E6-E4^2)/2.
 
-    Raises declared weight by 2; kills constants.
+    Raises the weight by 2; kills constants.
     """
     de2 = (E2 * E2 - E4) / 12
     de4 = (E2 * E4 - E6) / 3
@@ -269,8 +257,6 @@ def ramanujan_derive(p):
         ):
             if piece is not None:
                 out = out + piece
-    if p.weight is not None:
-        out = out.with_weight(p.weight + 2 if out else None)
     return out
 
 

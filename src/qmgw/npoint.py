@@ -25,7 +25,7 @@ from math import factorial
 from ._backend import exp_mul_dict_capped
 from .errors import InsufficientOrder, InvalidSeries
 from .hurwitz import bracket
-from .modular import QMPolynomial, quasimodularize, weight_basis
+from .modular import quasimodularize, weight_basis
 from .rational import ONE, rat
 from .series import PowerSeries
 from .theta import (
@@ -110,8 +110,15 @@ def _substitute(series_coeffs, powers, cap):
     return out
 
 
-def _poly_mul(a, b, cap):
-    return exp_mul_dict_capped(a, b, cap)
+def _on_leg(coeffs, leg, n_legs, cap):
+    """sum_e coeffs[e] z_leg^e as an exponent dict, degrees e <= cap."""
+    out = {}
+    for e, c in enumerate(coeffs[: cap + 1]):
+        if c:
+            key = [0] * n_legs
+            key[leg] = e
+            out[tuple(key)] = c
+    return out
 
 
 def _shift_key(key, i, amount):
@@ -189,32 +196,20 @@ def _nonempty_subsets(n):
 def _det_cleared(entries, n):
     """Leibniz determinant of the cleared matrix given as {(i,j): value}.
 
-    Values are either QMPolynomial constants (last column) or exponent
-    dicts; missing entries are structural zeros.
+    Every value is an exponent dict; missing entries are structural zeros.
     """
     total = {}
     cap = entries["cap"]
     for perm in permutations(range(n)):
-        term_cols = [(j, entries.get((perm[j], j))) for j in range(n)]
-        if any(e is None for _, e in term_cols):
+        factors = [entries.get((perm[j], j)) for j in range(n)]
+        if any(d is None for d in factors):
             continue
-        sign = _perm_sign(perm)
-        scalar = QM_ONE if sign == 1 else -QM_ONE
-        dicts = []
-        for j, e in term_cols:
-            if isinstance(e, QMPolynomial):
-                scalar = scalar * e
-            else:
-                dicts.append(e)
-        if scalar.is_zero():
-            continue
-        acc = None
-        for d in dicts:
-            acc = d if acc is None else _poly_mul(acc, d, cap)
-        if acc is None:
-            acc = {(0,) * entries["n_legs"]: ONE}
+        acc = factors[0]
+        for d in factors[1:]:
+            acc = exp_mul_dict_capped(acc, d, cap)
+        negate = _perm_sign(perm) < 0
         for key, v in acc.items():
-            c = v * scalar
+            c = -v if negate else v
             prev = total.get(key)
             if prev is None:
                 total[key] = c
@@ -291,7 +286,7 @@ def npoint(n_legs, z_order):
     # carries Theta^{(j-i+1)}(w)/(j-i+1)! * Theta(w) cleared to
     # Theta^{(j-i+1)}(w)/(j-i+1)! with w = z_{prefix of length n-1-j};
     # the last column holds the constants Theta^{(n-i)}(0)/(n-i)!.
-    entries = {"cap": cap, "n_legs": n}
+    entries = {"cap": cap}
     subst_cache = {}
     for j in range(n - 1):
         arg = prefixes[n - 2 - j]  # prefix of length n-1-j
@@ -304,36 +299,24 @@ def npoint(n_legs, z_order):
                 else:
                     lst = [c * rat(1, factorial(m)) for c in deriv_lists[m]]
                 if len(arg) == 1:
-                    d = {}
-                    for e, qm in enumerate(lst):
-                        if e <= cap and not qm.is_zero():
-                            k = [0] * n
-                            k[arg[0]] = e
-                            d[tuple(k)] = qm
-                    subst_cache[key] = d
+                    subst_cache[key] = _on_leg(lst, arg[0], n, cap)
                 else:
                     subst_cache[key] = _substitute(lst, powers[arg], cap)
             entries[(i, j)] = subst_cache[key]
     for i in range(n):
-        m = n - i
-        entries[(i, n - 1)] = theta.coefficient(m)  # Theta^{(m)}(0)/m!
+        const = theta.coefficient(n - i)  # Theta^{(n-i)}(0)/(n-i)!
+        if const:
+            entries[(i, n - 1)] = {(0,) * n: const}
 
     one_term = _det_cleared(entries, n)
     for s in subsets:
         if s in prefix_set:
             continue
         if len(s) == 1:
-            d = {}
-            for e, qm in enumerate(theta_list):
-                if e <= cap and not qm.is_zero():
-                    k = [0] * n
-                    k[s[0]] = e
-                    d[tuple(k)] = qm
-            one_term = _poly_mul(one_term, d, cap)
+            factor = _on_leg(theta_list, s[0], n, cap)
         else:
-            one_term = _poly_mul(
-                one_term, _substitute(theta_list, powers[s], cap), cap
-            )
+            factor = _substitute(theta_list, powers[s], cap)
+        one_term = exp_mul_dict_capped(one_term, factor, cap)
 
     # symmetrize over the legs
     total = {}
@@ -360,17 +343,10 @@ def npoint(n_legs, z_order):
     assert valid == z_order + n
     for s in subsets:
         if len(s) >= 2:
-            total = _poly_mul(
-                total, _substitute(unit_inv_list, powers[s], valid), valid
-            )
+            factor = _substitute(unit_inv_list, powers[s], valid)
         else:
-            d = {}
-            for e, qm in enumerate(unit_inv_list):
-                if e <= valid and not qm.is_zero():
-                    k = [0] * n
-                    k[s[0]] = e
-                    d[tuple(k)] = qm
-            total = _poly_mul(total, d, valid)
+            factor = _on_leg(unit_inv_list, s[0], n, valid)
+        total = exp_mul_dict_capped(total, factor, valid)
 
     # finally the monomial shift by prod z_i^{-1}
     shifted = {}
@@ -422,12 +398,12 @@ def stationary_invariant(legs, z_order=None):
         value = quasimodularize(
             PowerSeries("q", bracket(exponents, q_order)), weight, margin=10
         )
-    w = value.homogeneous_weight()
-    if w is not None and not value.is_zero() and w != weight:
+    if value and value.weight != weight:
         raise InvalidSeries(
-            f"weight bookkeeping broken: expected {weight}, found {w}"
+            f"weight bookkeeping broken: expected {weight}, "
+            f"found {value.weight}"
         )
-    return value.with_weight(weight if value else None)
+    return value
 
 
 def _partitions_with_first(indices):
@@ -483,12 +459,17 @@ def connected_from_disconnected(legs, tables):
 
 
 def connected_stationary(legs, z_order=None):
-    """Connected stationary ancestor function, computing its own tables."""
+    """Connected stationary ancestor function, computing its own tables.
+
+    Subsets holding the same multiset of psi-powers share one value.
+    """
     legs = tuple(legs)
+    by_multiset = {}
     tables = {}
-    for s in _nonempty_subsets(len(legs)):
-        sub = tuple(sorted(s))
-        tables[sub] = stationary_invariant(
-            tuple(legs[i] for i in sub), z_order=z_order
-        )
+    for sub in _nonempty_subsets(len(legs)):
+        sub_legs = tuple(legs[i] for i in sub)
+        key = tuple(sorted(sub_legs))
+        if key not in by_multiset:
+            by_multiset[key] = stationary_invariant(sub_legs, z_order=z_order)
+        tables[sub] = by_multiset[key]
     return connected_from_disconnected(legs, tables)

@@ -118,8 +118,8 @@ def suite_ramanujan(config):
     rng2 = random.Random(_SEED + 1)
     for i in range(5):
         p = _random_qm(rng2)
-        w = p.homogeneous_weight()
-        if w is None or p.is_zero():
+        w = p.weight
+        if w is None:
             continue
         dim = len(weight_basis(w))
         back = quasimodularize(
@@ -290,14 +290,14 @@ def suite_weights(config):
             continue
         report.add(
             f"one-point z^{e} weight {e + 1}",
-            val.homogeneous_weight() == e + 1,
+            val.weight == e + 1,
         )
     f2 = npoint(2, min(dz, 8))
     ok = True
     bad = None
     for key, val in sorted(f2.data.items()):
         w = sum(key) + 2
-        if val.homogeneous_weight() != w:
+        if val.weight != w:
             ok = False
             bad = key
             break

@@ -36,7 +36,7 @@ class TestAnomalyDerivative:
         assert d_dC2(p * q) == d_dC2(p) * q + p * d_dC2(q)
 
     def test_weight_drops_by_two(self):
-        assert d_dC2(E2.with_weight(2)).weight == 0
+        assert d_dC2(E2).weight == 0
 
 
 class TestPrimeFormAnomaly:

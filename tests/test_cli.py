@@ -225,6 +225,13 @@ class TestTables:
         assert "b[1,0] = 1/120" in out
         assert list(tmp_path.glob("weierstrass-b-*.json"))
 
+    @pytest.mark.parametrize("table", ["a", "b"])
+    def test_negative_bound_exit_2(self, table, capsys):
+        code, out = run_cli(["tables", table, "--bound", "-1", "--no-cache"])
+        assert code == 2
+        assert out == ""
+        assert "error: table bound must be >= 0" in capsys.readouterr().err
+
     def test_a_table_dump(self):
         code, out = run_cli(["tables", "a", "--bound", "8", "--no-cache"])
         assert code == 0

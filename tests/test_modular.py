@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qmgw import modular
 from qmgw.errors import InsufficientOrder, InvalidSeries, NotQuasiModular
 from qmgw.modular import (
     E2,
@@ -98,6 +99,31 @@ class TestQMPolynomial:
 
     def test_product_weight(self):
         assert (E2 * E4).weight == 6
+
+    def test_weight_read_off_terms(self):
+        assert QMPolynomial.constant(3).weight == 0
+        assert (E2 + E4).weight is None
+        assert QMPolynomial.zero().weight is None
+        assert QMPolynomial({}, weight=4).is_zero()
+
+    def test_ring_results_skip_coercion(self, monkeypatch):
+        want = E2 * E4 - E6 * E2 + E4 * E4
+        neg = QMPolynomial({(1, 0, 0): -ONE})
+
+        def refuse(*args):
+            raise AssertionError("rat called on a ring result")
+
+        monkeypatch.setattr(modular, "rat", refuse)
+        assert E2 * E4 - E6 * E2 + E4 * E4 == want
+        assert -E2 == neg
+
+    def test_negative_power(self):
+        quarter = QMPolynomial.constant(rat(1, 4))
+        assert QMPolynomial.constant(2) ** -2 == quarter
+        with pytest.raises(InvalidSeries):
+            E2 ** -1
+        with pytest.raises(InvalidSeries):
+            QMPolynomial.zero() ** -1
 
     def test_qm_eval_generator(self):
         assert qm_eval(E2, 8) == eisenstein(2, 8)

@@ -1,9 +1,12 @@
+from importlib import import_module
+
 import pytest
 
 from qmgw.errors import InsufficientOrder, InvalidSeries
 from qmgw.modular import E2, E4, QMPolynomial, ramanujan_derive
 from qmgw.npoint import (
     MultiZPoly,
+    _nonempty_subsets,
     connected_from_disconnected,
     connected_stationary,
     npoint,
@@ -13,6 +16,7 @@ from qmgw.rational import ONE, rat
 from qmgw.theta import one_over_theta
 
 C2 = E2 * rat(-1, 24)
+npoint_module = import_module("qmgw.npoint")
 
 
 def divisor_derivative(p, times):
@@ -55,7 +59,7 @@ class TestTwoPoint:
     def test_weight_grading(self):
         f2 = npoint(2, 8)
         for key, value in f2.data.items():
-            assert value.homogeneous_weight() == sum(key) + 2
+            assert value.weight == sum(key) + 2
 
     def test_divisor_equation(self):
         conn = connected_stationary((0, 0))
@@ -73,7 +77,7 @@ class TestThreeFourPoint:
         f3 = npoint(3, 3)
         assert f3.is_symmetric()
         for key, value in f3.data.items():
-            assert value.homogeneous_weight() == sum(key) + 3
+            assert value.weight == sum(key) + 3
 
     def test_three_point_divisor_equation(self):
         conn = connected_stationary((0, 0, 0))
@@ -209,6 +213,21 @@ class TestConnectedFromDisconnected:
     def test_missing_table_raises(self):
         with pytest.raises(InvalidSeries):
             connected_from_disconnected((0, 0), {(0,): C2})
+
+    def test_each_multiset_fitted_once(self, monkeypatch):
+        legs = (1,) * 7
+        by_size = {k: stationary_invariant((1,) * k) for k in range(1, 8)}
+        tables = {s: by_size[len(s)] for s in _nonempty_subsets(7)}
+        want = connected_from_disconnected(legs, tables)
+        calls = []
+
+        def counting(sub_legs, z_order=None):
+            calls.append(sub_legs)
+            return stationary_invariant(sub_legs, z_order=z_order)
+
+        monkeypatch.setattr(npoint_module, "stationary_invariant", counting)
+        assert connected_stationary(legs) == want
+        assert len(calls) == 7
 
     def test_degree_zero_and_one_anchors(self):
         # connected genus-one series has q^0 = -1/24 and q^1 = 1

@@ -97,7 +97,19 @@ class TestPrimeForm:
         for k in range(1, 6):
             coeff = theta.coefficient(2 * k + 1)
             if not coeff.is_zero():
-                assert coeff.homogeneous_weight() == 2 * k
+                assert coeff.weight == 2 * k
+
+    def test_tower_weights(self):
+        for g in range(1, 14):
+            assert onepoint_qm(g).weight == onepoint_from_b(g).weight == 2 * g
+        theta = prime_form(15)
+        for k in range(1, 16):
+            if theta.coefficient(k):
+                assert theta.coefficient(k).weight == k - 1
+        oot = one_over_theta(15)
+        for k in range(-1, 16):
+            if oot.coefficient(k):
+                assert oot.coefficient(k).weight == k + 1
 
     def test_one_over_theta_low_coefficients(self):
         oot = one_over_theta(7)
