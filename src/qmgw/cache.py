@@ -11,7 +11,6 @@ temp file in the same directory followed by an atomic rename.
 import hashlib
 import json
 import os
-import tempfile
 from functools import lru_cache
 from pathlib import Path
 
@@ -91,6 +90,8 @@ def store(cache_dir, operation, parameters, payload):
         sort_keys=True,
         separators=(",", ":"),
     )
+    import tempfile  # only writes pay for it
+
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

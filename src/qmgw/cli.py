@@ -11,28 +11,20 @@ Exit codes: 2 for an invalid insertion spec, 3 when the requested order
 is too small (the message names the minimal one), 1 for failed checks.
 """
 
+# Each handler imports the mathematics it runs, so a cached read runs none.
 import argparse
 import sys
 
 from .cache import cached
-from .cayley import (
-    cayley_frame,
-    fjrw_onepoint_all_genus,
-    fjrw_primary_genus1_invariants,
-)
-from .config import FORMATS, RunConfig, default_cache_dir
+from .config import FORMATS, SUITE_NAMES, RunConfig, default_cache_dir
 from .errors import (
     InsufficientOrder,
     InvalidSeries,
     QmgwError,
     UnsupportedInsertion,
 )
-from .modular import eisenstein, qm_eval
-from .npoint import connected_stationary, stationary_invariant
 from .rational import parse_rat, rat_str
 from .records import SERIALIZERS, InvariantRecord
-from .theta import b_table, weierstrass_a
-from .verify import SUITES, run_suites
 
 
 def _add_common(parser, leaf=False):
@@ -99,7 +91,7 @@ def build_parser():
         "suite",
         nargs="*",
         default=["all"],
-        help=f"any of: all, {', '.join(SUITES)}",
+        help=f"any of: all, {', '.join(SUITE_NAMES)}",
     )
 
     tab = sub.add_parser("tables", help="dump coefficient tables")
@@ -140,6 +132,9 @@ def _emit(records, config, out):
 
 
 def cmd_gw(args, config, out):
+    from .modular import qm_eval
+    from .npoint import connected_stationary, stationary_invariant
+
     if args.gw_command == "onepoint":
         genus = args.genus
         psi = args.psi
@@ -220,6 +215,8 @@ def cmd_fjrw(args, config, out):
             f"need --b-bound >= {needed}",
             required=needed,
         )
+    from .cayley import cayley_frame, fjrw_onepoint_all_genus
+
     frame = cayley_frame(config.s_order)
     series = fjrw_onepoint_all_genus(genus, frame, bound=config.b_bound)
     records = [
@@ -237,6 +234,8 @@ def cmd_fjrw(args, config, out):
 
 def _cached_genus1_invariants(config, max_n):
     def compute():
+        from .cayley import fjrw_primary_genus1_invariants
+
         return fjrw_primary_genus1_invariants(max_n)
 
     def encode(values):
@@ -257,10 +256,12 @@ def _cached_genus1_invariants(config, max_n):
 
 def cmd_verify(args, config, out):
     names = args.suite
-    unknown = [n for n in names if n != "all" and n not in SUITES]
+    unknown = [n for n in names if n != "all" and n not in SUITE_NAMES]
     if unknown:
         out.write(f"unknown suites: {', '.join(unknown)}\n")
         return 2
+    from .verify import run_suites
+
     reports = run_suites(names, config)
     ok = True
     for report in reports:
@@ -277,6 +278,8 @@ def cmd_tables(args, config, out):
         order = config.q_order
 
         def compute():
+            from .modular import eisenstein
+
             return eisenstein(k, order)
 
         def encode(series):
@@ -302,10 +305,11 @@ def cmd_tables(args, config, out):
     bound = args.bound if args.bound is not None else config.b_bound
     if bound < 0:
         raise InvalidSeries("table bound must be >= 0")
-    table_fn = weierstrass_a if args.table == "a" else b_table
 
     def compute():
-        return table_fn(bound)
+        from .theta import b_table, weierstrass_a
+
+        return (weierstrass_a if args.table == "a" else b_table)(bound)
 
     def encode(table):
         return [[m, n, rat_str(v)] for (m, n), v in sorted(table.items())]

@@ -1,12 +1,26 @@
 """Run configuration shared by the command-line surface."""
 
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import InsufficientOrder, InvalidSeries
 
 FORMATS = ("json", "csv", "text")
+
+#: the `verify` suites in run order; `verify.SUITES` follows it, and the
+#: CLI names them without importing `verify`
+SUITE_NAMES = (
+    "ramanujan",
+    "chazy",
+    "bp",
+    "prime-form",
+    "weights",
+    "hae",
+    "virasoro",
+    "mirror",
+    "fjrw",
+)
 
 #: documented floors; commands with stricter needs raise InsufficientOrder
 #: naming the actual minimum.
@@ -22,31 +36,45 @@ def default_cache_dir():
     return Path.home() / ".cache" / "qmgw"
 
 
-@dataclass
-class RunConfig:
-    q_order: int = 24
-    s_order: int = 16
-    z_order: int = 14
-    b_bound: int = 14
-    margin: int = 10
-    cache_dir: Path = field(default_factory=default_cache_dir)
-    fmt: str = "json"
-    no_cache: bool = False
+class RunConfig(
+    namedtuple(
+        "RunConfig",
+        "q_order s_order z_order b_bound margin cache_dir fmt no_cache",
+    )
+):
+    """Validated, immutable run settings; `cache_dir` defaults to
+    `default_cache_dir()`."""
 
-    def __post_init__(self):
-        self.cache_dir = Path(self.cache_dir)
-        if self.fmt not in FORMATS:
-            raise InvalidSeries(f"unknown output format {self.fmt!r}")
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        q_order=24,
+        s_order=16,
+        z_order=14,
+        b_bound=14,
+        margin=10,
+        cache_dir=None,
+        fmt="json",
+        no_cache=False,
+    ):
+        cache_dir = default_cache_dir() if cache_dir is None else Path(cache_dir)
+        if fmt not in FORMATS:
+            raise InvalidSeries(f"unknown output format {fmt!r}")
         for name, value, floor in (
-            ("q-order", self.q_order, MIN_Q_ORDER),
-            ("s-order", self.s_order, MIN_S_ORDER),
-            ("z-order", self.z_order, MIN_Z_ORDER),
+            ("q-order", q_order, MIN_Q_ORDER),
+            ("s-order", s_order, MIN_S_ORDER),
+            ("z-order", z_order, MIN_Z_ORDER),
         ):
             if value < floor:
                 raise InsufficientOrder(
                     f"{name} must be >= {floor}", required=floor
                 )
-        if self.b_bound < 2:
+        if b_bound < 2:
             raise InvalidSeries("b-table bound must be >= 2")
-        if self.margin < 1:
+        if margin < 1:
             raise InvalidSeries("verification margin must be >= 1")
+        return super().__new__(
+            cls, q_order, s_order, z_order, b_bound, margin, cache_dir, fmt,
+            no_cache,
+        )

@@ -15,7 +15,7 @@ from types import MappingProxyType
 from ._backend import exp_mul_dict
 from .errors import InsufficientOrder, InvalidSeries, NotQuasiModular
 from .rational import ONE, ZERO, rat
-from .series import THETA_Q, PowerSeries
+from .series import _SCALARS, THETA_Q, PowerSeries
 
 
 @lru_cache(maxsize=None)
@@ -33,10 +33,10 @@ def bernoulli(n):
 
 
 def _divisor_power_sums(power, order):
-    """sigma_power(n) for n = 1..order, by sieving over divisors."""
-    sums = [ZERO] * (order + 1)
+    """sigma_power(n) for n = 1..order as ints, by sieving over divisors."""
+    sums = [0] * (order + 1)
     for d in range(1, order + 1):
-        dp = rat(d) ** power
+        dp = d**power
         for m in range(d, order + 1, d):
             sums[m] += dp
     return sums
@@ -47,9 +47,9 @@ def eisenstein(k, order):
     """E_k(q) = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, truncated at `order`."""
     if k < 2 or k % 2:
         raise InvalidSeries("Eisenstein weight must be a positive even integer")
-    factor = rat(2 * k) / bernoulli(k)
+    factor = -rat(2 * k) / bernoulli(k)
     sums = _divisor_power_sums(k - 1, order)
-    coeffs = [ONE] + [-factor * sums[n] for n in range(1, order + 1)]
+    coeffs = [ONE] + [factor * sums[n] for n in range(1, order + 1)]
     return PowerSeries("q", coeffs)
 
 
@@ -165,8 +165,12 @@ class QMPolynomial:
         return "QM<" + " + ".join(bits) + ">"
 
     # -- ring operations -----------------------------------------------------
+    # An operand that is neither a QMPolynomial nor a rational scalar is
+    # left to its own reflected method (PowerSeries.__rmul__, ...).
     def __add__(self, other):
         if not isinstance(other, QMPolynomial):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
             other = QMPolynomial.constant(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
@@ -184,6 +188,8 @@ class QMPolynomial:
 
     def __sub__(self, other):
         if not isinstance(other, QMPolynomial):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
             other = QMPolynomial.constant(other)
         return self + (-other)
 
@@ -192,6 +198,8 @@ class QMPolynomial:
 
     def __mul__(self, other):
         if not isinstance(other, QMPolynomial):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
             c = rat(other)
             if not c:
                 return QMPolynomial.zero()

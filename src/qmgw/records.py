@@ -7,11 +7,9 @@ arithmetic.  The JSON schema is documented in the README under
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .modular import QMPolynomial
 from .rational import rat_str
-from .series import PowerSeries
 
 FORMAT_VERSION = "1"
 
@@ -19,22 +17,28 @@ THEORIES = ("gw_curve", "fjrw_cubic")
 REPRESENTATIONS = ("qm_polynomial", "q_series", "s_series", "rational")
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
-    theory: str
-    genus: int
-    insertions: tuple
-    representation: str
-    payload: object
+class InvariantRecord(
+    namedtuple(
+        "InvariantRecord",
+        "theory genus insertions representation payload",
+    )
+):
+    __slots__ = ()
 
     def payload_obj(self):
+        # the payload's module is loaded already; importing it here keeps
+        # a cached read from loading the mathematics
         if self.representation == "qm_polynomial":
+            from .modular import QMPolynomial
+
             assert isinstance(self.payload, QMPolynomial)
             return [
                 {"a": a, "b": b, "c": c, "coeff": rat_str(v)}
                 for (a, b, c), v in self.payload.sorted_terms()
             ]
         if self.representation in ("q_series", "s_series"):
+            from .series import PowerSeries
+
             assert isinstance(self.payload, PowerSeries)
             return {
                 "variable": self.payload.var,

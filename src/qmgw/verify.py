@@ -24,6 +24,7 @@ from .chazy import (
     fjrw_genus1_series,
     genus_one_initial_data,
 )
+from .config import SUITE_NAMES
 from .modular import (
     E2,
     QMPolynomial,
@@ -447,15 +448,7 @@ def suite_fjrw(config):
 
 
 SUITES = {
-    "ramanujan": suite_ramanujan,
-    "chazy": suite_chazy,
-    "bp": suite_bp,
-    "prime-form": suite_prime_form,
-    "weights": suite_weights,
-    "hae": suite_hae,
-    "virasoro": suite_virasoro,
-    "mirror": suite_mirror,
-    "fjrw": suite_fjrw,
+    name: globals()["suite_" + name.replace("-", "_")] for name in SUITE_NAMES
 }
 
 

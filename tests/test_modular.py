@@ -47,6 +47,16 @@ class TestEisenstein:
     def test_weight_six_factor(self):
         assert eisenstein(6, 1).coefficient(1) == rat(-504)
 
+    @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12])
+    def test_closed_form(self, k):
+        # E_k = 1 - (2k/B_k) sum_n sigma_{k-1}(n) q^n, summed directly
+        factor = rat(2 * k) / bernoulli(k)
+        for order in (0, 1, 17, 60):
+            want = [ONE] + [
+                -factor * divisor_sum(n, k - 1) for n in range(1, order + 1)
+            ]
+            assert list(eisenstein(k, order).coeffs) == want
+
     def test_odd_weight_rejected(self):
         with pytest.raises(InvalidSeries):
             eisenstein(3, 5)
@@ -116,6 +126,19 @@ class TestQMPolynomial:
         monkeypatch.setattr(modular, "rat", refuse)
         assert E2 * E4 - E6 * E2 + E4 * E4 == want
         assert -E2 == neg
+
+    def test_other_operand_decides(self):
+        # a PowerSeries operand is left to PowerSeries.__rmul__
+        s = PowerSeries("q", [1, 2, 3])
+        assert E2 * s == s * E2
+        assert (E2 * s).coeffs == (E2, 2 * E2, 3 * E2)
+
+    def test_scalar_operands_unchanged(self):
+        assert E2 * 3 == 3 * E2 == QMPolynomial({(1, 0, 0): 3})
+        assert E2 + "1/2" == QMPolynomial({(1, 0, 0): 1, (0, 0, 0): rat(1, 2)})
+        assert E2 - rat(1, 2) == QMPolynomial({(1, 0, 0): 1, (0, 0, 0): rat(-1, 2)})
+        with pytest.raises(TypeError):
+            E2 * object()
 
     def test_negative_power(self):
         quarter = QMPolynomial.constant(rat(1, 4))
