@@ -1,8 +1,10 @@
 """The hot arithmetic kernels, shared by every series and polynomial type.
 
-All three kernels are ring-generic: coefficients only need ``+``, ``*`` and
+Every kernel is ring-generic: coefficients only need ``+``, ``*`` and
 truth-testing, so the same code paths serve exact rationals and the
 Eisenstein-generator polynomials used as series coefficients higher up.
+The sparse ``{key: coeff}`` dicts of this package never hold a zero; this
+module is the one place that keeps that rule.
 """
 
 
@@ -24,36 +26,39 @@ def conv_trunc(a, b, n, zero):
     return out
 
 
-def exp_mul_dict(da, db):
-    """Product of exponent-keyed dicts {(e1,..,ek): coeff}; zeros dropped."""
-    out = {}
-    items_b = list(db.items())
-    for ka, va in da.items():
-        for kb, vb in items_b:
-            k = tuple(x + y for x, y in zip(ka, kb))
-            c = va * vb
-            prev = out.get(k)
-            if prev is None:
-                out[k] = c
+def add_into(out, pairs):
+    """Add each (key, coeff) of `pairs` into the sparse dict `out`.
+
+    A zero is never stored and a key whose sum cancels is removed, so
+    `out` stays free of zeros; returns `out`.
+    """
+    for key, c in pairs:
+        prev = out.get(key)
+        if prev is None:
+            if c:
+                out[key] = c
+        else:
+            s = prev + c
+            if s:
+                out[key] = s
             else:
-                s = prev + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+                del out[key]
     return out
 
 
-def exp_mul_dict_capped(da, db, cap):
-    """Like exp_mul_dict but drops products of total degree > cap.
+def exp_mul_dict(da, db, cap=None):
+    """Product of exponent-keyed dicts {(e1,..,ek): coeff}; zeros dropped.
 
-    Keys must have nonnegative entries for the degree cutoff to be valid.
+    With `cap`, products of total degree > cap are not formed; the keys
+    must then have nonnegative entries for the cutoff to be valid.
     """
     out = {}
-    items_b = [(kb, sum(kb), vb) for kb, vb in db.items()]
+    if cap is None:
+        items_b = [(kb, 0, vb) for kb, vb in db.items()]
+    else:
+        items_b = [(kb, sum(kb), vb) for kb, vb in db.items()]
     for ka, va in da.items():
-        da_deg = sum(ka)
-        room = cap - da_deg
+        room = 0 if cap is None else cap - sum(ka)
         for kb, deg_b, vb in items_b:
             if deg_b > room:
                 continue

@@ -12,46 +12,20 @@ it is only rendered by the formula printer here; the one-point
 specialization is what gets verified numerically.
 """
 
-from dataclasses import dataclass, field
 from math import factorial
 
 from .cayley import cayley_frame, cayley_transform, fjrw_onepoint_all_genus
 from .modular import QMPolynomial
 from .rational import rat
+from .records import CheckReport
 from .theta import one_over_theta, onepoint_qm, prime_form
 
 
 def d_dC2(p):
     """-24 * d/dE2 on a generator polynomial; a derivation, weight -2."""
-    out = {}
-    for (a, b, c), v in p.terms.items():
-        if a:
-            key = (a - 1, b, c)
-            out[key] = out.get(key, 0) + (-24) * a * v
-    return QMPolynomial(out)
-
-
-@dataclass
-class CheckReport:
-    """Outcome of a verification run: ordered (name, passed, detail) rows."""
-
-    title: str
-    rows: list = field(default_factory=list)
-
-    def add(self, name, passed, detail=""):
-        self.rows.append((name, bool(passed), detail))
-
-    @property
-    def passed(self):
-        return all(ok for _, ok, _ in self.rows)
-
-    def lines(self):
-        out = [f"[{self.title}]"]
-        for name, ok, detail in self.rows:
-            mark = "PASS" if ok else "FAIL"
-            suffix = f"  ({detail})" if detail else ""
-            out.append(f"  {mark}  {name}{suffix}")
-        return out
+    return QMPolynomial._of(
+        {(a - 1, b, c): -24 * a * v for (a, b, c), v in p.terms.items() if a}
+    )
 
 
 def prime_form_anomaly_check(z_order=9):

@@ -180,7 +180,7 @@ def fjrw_primary_genus1_invariants(max_n, order=None):
     """(n, Theta_{1,n}) for n = 1..max_n from the genus-one series."""
     if order is None:
         order = max_n
-    series = fjrw_genus1_series(max(order, max_n))
+    series = fjrw_genus1_series(max(order, max_n, 2))
     values = extract_fjrw_invariants(series, base_n=1, max_m=max_n - 1)
     return values[:max_n]
 

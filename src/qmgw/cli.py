@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .cache import cached
-from .config import FORMATS, SUITE_NAMES, RunConfig, default_cache_dir
+from .config import FORMATS, SUITE_NAMES, RunConfig
 from .errors import (
     InsufficientOrder,
     InvalidSeries,
@@ -104,27 +104,25 @@ def build_parser():
     return parser
 
 
+#: command-line dest -> RunConfig field, for the flags a run may leave unset
+_CONFIG_FIELDS = {
+    "order": "q_order",
+    "s_order": "s_order",
+    "z_order": "z_order",
+    "b_bound": "b_bound",
+    "margin": "margin",
+    "fmt": "fmt",
+    "cache_dir": "cache_dir",
+}
+
+
 def make_config(args):
-    kwargs = {}
-    args_get = lambda name: getattr(args, name, None)
-    if args_get("order") is not None:
-        kwargs["q_order"] = args.order
-    if args_get("s_order") is not None:
-        kwargs["s_order"] = args_get("s_order")
-    if args_get("z_order") is not None:
-        kwargs["z_order"] = args_get("z_order")
-    if args_get("b_bound") is not None:
-        kwargs["b_bound"] = args_get("b_bound")
-    if args_get("margin") is not None:
-        kwargs["margin"] = args_get("margin")
-    if args_get("fmt") is not None:
-        kwargs["fmt"] = args_get("fmt")
-    if args_get("cache_dir") is not None:
-        kwargs["cache_dir"] = args_get("cache_dir")
-    else:
-        kwargs["cache_dir"] = default_cache_dir()
-    kwargs["no_cache"] = bool(args_get("no_cache"))
-    return RunConfig(**kwargs)
+    kwargs = {
+        field: getattr(args, dest)
+        for dest, field in _CONFIG_FIELDS.items()
+        if getattr(args, dest, None) is not None
+    }
+    return RunConfig(no_cache=bool(getattr(args, "no_cache", None)), **kwargs)
 
 
 def _emit(records, config, out):

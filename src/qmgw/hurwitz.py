@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import InvalidSeries
-from .modular import bernoulli
+from .modular import bernoulli, euler_coefficients
 from .rational import rat
 
 
@@ -104,10 +104,7 @@ def bracket(exponents, order):
                 numer[(t + t2) // 2] += v * h
 
     # 1 / sum_lam q^|lam| is the Euler product prod (1 - q^k)
-    euler = [1] + [0] * order
-    for k in range(1, order + 1):
-        for i in range(order, k - 1, -1):
-            euler[i] -= euler[i - k]
+    euler = euler_coefficients(order)
     scale = _over(full, dens)
     for e in exponents:
         scale *= 2 ** e * factorial(e)

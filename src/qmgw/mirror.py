@@ -12,10 +12,10 @@ series reversion of the mirror map.
 from dataclasses import dataclass
 from math import isqrt
 
-from .anomaly import CheckReport
 from .errors import InsufficientOrder, InvalidSeries
 from .modular import eisenstein, euler_function
 from .rational import ONE, ZERO, rat
+from .records import CheckReport
 from .series import THETA_Q, PowerSeries
 
 

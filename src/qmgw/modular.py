@@ -12,7 +12,7 @@ linear solve and verifies the fit on every remaining coefficient.
 from functools import lru_cache
 from types import MappingProxyType
 
-from ._backend import exp_mul_dict
+from ._backend import add_into, exp_mul_dict
 from .errors import InsufficientOrder, InvalidSeries, NotQuasiModular
 from .rational import ONE, ZERO, rat
 from .series import _SCALARS, THETA_Q, PowerSeries
@@ -53,15 +53,18 @@ def eisenstein(k, order):
     return PowerSeries("q", coeffs)
 
 
+def euler_coefficients(order):
+    """Integer coefficients 0..order of prod_{n>=1} (1 - q^n)."""
+    out = [1] + [0] * order
+    for n in range(1, order + 1):
+        for i in range(order, n - 1, -1):
+            out[i] -= out[i - n]
+    return out
+
+
 def euler_function(order):
     """prod_{n=1}^{order} (1 - q^n), truncated at `order`."""
-    out = PowerSeries.one("q", order)
-    for n in range(1, order + 1):
-        out = out * (
-            PowerSeries.one("q", order)
-            - PowerSeries.monomial("q", n, ONE, order)
-        )
-    return out
+    return PowerSeries("q", euler_coefficients(order))
 
 
 class QMPolynomial:
@@ -172,13 +175,7 @@ class QMPolynomial:
             if not isinstance(other, _SCALARS):
                 return NotImplemented
             other = QMPolynomial.constant(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, ZERO) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        out = add_into(dict(self.terms), other.terms.items())
         return QMPolynomial._of(out)
 
     __radd__ = __add__
@@ -233,39 +230,29 @@ E4 = QMPolynomial.e4()
 E6 = QMPolynomial.e6()
 
 
+#: per generator slot, the derivative of that generator as a term dict
+_RAMANUJAN_IMAGES = (
+    {(2, 0, 0): rat(1, 12), (0, 1, 0): rat(-1, 12)},
+    {(1, 1, 0): rat(1, 3), (0, 0, 1): rat(-1, 3)},
+    {(1, 0, 1): rat(1, 2), (0, 2, 0): rat(-1, 2)},
+)
+
+
 def ramanujan_derive(p):
     """The derivation with E2'=(E2^2-E4)/12, E4'=(E2E4-E6)/3, E6'=(E2E6-E4^2)/2.
 
     Raises the weight by 2; kills constants.
     """
-    de2 = (E2 * E2 - E4) / 12
-    de4 = (E2 * E4 - E6) / 3
-    de6 = (E2 * E6 - E4 * E4) / 2
-    out = QMPolynomial.zero()
-    for (a, b, c), v in p.terms.items():
-        base = {(a, b, c): v}
-
-        def times(monomial_delta, deriv, exponent):
-            if not exponent:
-                return None
-            shifted = {
-                (
-                    k[0] + monomial_delta[0],
-                    k[1] + monomial_delta[1],
-                    k[2] + monomial_delta[2],
-                ): cv * exponent
-                for k, cv in base.items()
-            }
-            return QMPolynomial(shifted) * deriv
-
-        for piece in (
-            times((-1, 0, 0), de2, a),
-            times((0, -1, 0), de4, b),
-            times((0, 0, -1), de6, c),
-        ):
-            if piece is not None:
-                out = out + piece
-    return out
+    out = {}
+    for slot, image in enumerate(_RAMANUJAN_IMAGES):
+        # d/d(generator) of every term, by the power rule
+        lowered = {
+            key[:slot] + (key[slot] - 1,) + key[slot + 1 :]: v * key[slot]
+            for key, v in p.terms.items()
+            if key[slot]
+        }
+        add_into(out, exp_mul_dict(lowered, image).items())
+    return QMPolynomial._of(out)
 
 
 def qm_eval(p, order, gens=None):

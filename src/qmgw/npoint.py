@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
-from ._backend import exp_mul_dict_capped
+from ._backend import add_into, exp_mul_dict
 from .errors import InsufficientOrder, InvalidSeries
 from .hurwitz import bracket
 from .modular import quasimodularize, weight_basis
@@ -86,27 +86,16 @@ def _linear_form_powers(subset, n_legs, max_degree):
         key = tuple(1 if j == i else 0 for j in range(n_legs))
         linear[key] = ONE
     for _ in range(max_degree):
-        powers.append(exp_mul_dict_capped(powers[-1], linear, max_degree))
+        powers.append(exp_mul_dict(powers[-1], linear, max_degree))
     return powers
 
 
 def _substitute(series_coeffs, powers, cap):
     """sum_e series_coeffs[e] * L^e over precomputed linear-form powers."""
     out = {}
-    for e, qm in enumerate(series_coeffs):
-        if e > cap or e >= len(powers) or qm.is_zero():
-            continue
-        for key, mult in powers[e].items():
-            c = qm * mult
-            prev = out.get(key)
-            if prev is None:
-                out[key] = c
-            else:
-                s = prev + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+    for e, qm in enumerate(series_coeffs[: min(cap + 1, len(powers))]):
+        if qm:
+            add_into(out, ((k, qm * mult) for k, mult in powers[e].items()))
     return out
 
 
@@ -123,6 +112,13 @@ def _on_leg(coeffs, leg, n_legs, cap):
 
 def _shift_key(key, i, amount):
     return key[:i] + (key[i] + amount,) + key[i + 1 :]
+
+
+def _minus_c_times(carry, rest):
+    """The terms of -c * carry, c = z_{i2}+...+z_{ik} the non-pivot part."""
+    return (
+        (_shift_key(key, i, 1), -qm) for key, qm in carry.items() for i in rest
+    )
 
 
 def _divide_linear(poly, subset, valid):
@@ -144,19 +140,7 @@ def _divide_linear(poly, subset, valid):
     carry = {}  # q_k currently being assembled, keyed with a-slot = k
     for k in range(top, 0, -1):
         # q_{k-1} = A_k - c * q_k, written into a-slot k-1
-        level = dict(by_deg.get(k, {}))
-        for key, qm in carry.items():
-            for i in rest:
-                nk = _shift_key(key, i, 1)
-                prev = level.get(nk)
-                if prev is None:
-                    level[nk] = -qm
-                else:
-                    s = prev - qm
-                    if s:
-                        level[nk] = s
-                    else:
-                        del level[nk]
+        level = add_into(dict(by_deg.get(k, {})), _minus_c_times(carry, rest))
         carry = {}
         for key, qm in level.items():
             nk = _shift_key(key, a, -1)
@@ -164,21 +148,8 @@ def _divide_linear(poly, subset, valid):
             if sum(nk) <= valid - 1:
                 quotient[nk] = qm
     # remainder = A_0 - c * q_0
-    remainder = dict(by_deg.get(0, {}))
-    for key, qm in carry.items():
-        key_up = _shift_key(key, a, 1)  # back to a-slot 0 shifted by c-mult
-        for i in rest:
-            nk = _shift_key(_shift_key(key_up, a, -1), i, 1)
-            prev = remainder.get(nk)
-            if prev is None:
-                remainder[nk] = -qm
-            else:
-                s = prev - qm
-                if s:
-                    remainder[nk] = s
-                else:
-                    del remainder[nk]
-    bad = [k for k, v in remainder.items() if sum(k) < valid and v]
+    remainder = add_into(dict(by_deg.get(0, {})), _minus_c_times(carry, rest))
+    bad = [k for k in remainder if sum(k) < valid]
     if bad:
         raise InvalidSeries(
             f"division by linear form {subset} not exact at {sorted(bad)[:3]}"
@@ -206,19 +177,11 @@ def _det_cleared(entries, n):
             continue
         acc = factors[0]
         for d in factors[1:]:
-            acc = exp_mul_dict_capped(acc, d, cap)
-        negate = _perm_sign(perm) < 0
-        for key, v in acc.items():
-            c = -v if negate else v
-            prev = total.get(key)
-            if prev is None:
-                total[key] = c
-            else:
-                s = prev + c
-                if s:
-                    total[key] = s
-                else:
-                    del total[key]
+            acc = exp_mul_dict(acc, d, cap)
+        if _perm_sign(perm) < 0:
+            add_into(total, ((key, -v) for key, v in acc.items()))
+        else:
+            add_into(total, acc.items())
     return total
 
 
@@ -316,22 +279,18 @@ def npoint(n_legs, z_order):
             factor = _on_leg(theta_list, s[0], n, cap)
         else:
             factor = _substitute(theta_list, powers[s], cap)
-        one_term = exp_mul_dict_capped(one_term, factor, cap)
+        one_term = exp_mul_dict(one_term, factor, cap)
 
     # symmetrize over the legs
     total = {}
     for perm in permutations(range(n)):
-        for key, v in one_term.items():
-            nk = tuple(key[perm[i]] for i in range(n))
-            prev = total.get(nk)
-            if prev is None:
-                total[nk] = v
-            else:
-                s = prev + v
-                if s:
-                    total[nk] = s
-                else:
-                    del total[nk]
+        add_into(
+            total,
+            (
+                (tuple(key[perm[i]] for i in range(n)), v)
+                for key, v in one_term.items()
+            ),
+        )
 
     # strip prod_S Theta(z_S): exact divisions by the linear forms...
     valid = cap
@@ -346,7 +305,7 @@ def npoint(n_legs, z_order):
             factor = _substitute(unit_inv_list, powers[s], valid)
         else:
             factor = _on_leg(unit_inv_list, s[0], n, valid)
-        total = exp_mul_dict_capped(total, factor, valid)
+        total = exp_mul_dict(total, factor, valid)
 
     # finally the monomial shift by prod z_i^{-1}
     shifted = {}

@@ -1,4 +1,4 @@
-"""Machine-readable invariant records.
+"""Machine-readable invariant records and verification reports.
 
 All rationals serialize as "numerator/denominator" strings, never floats;
 JSON objects use sorted keys so byte-stable output falls out of exact
@@ -60,6 +60,31 @@ class InvariantRecord(
 
     def to_json_line(self):
         return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
+
+
+class CheckReport:
+    """Outcome of a verification run: ordered (name, passed, detail) rows."""
+
+    __slots__ = ("title", "rows")
+
+    def __init__(self, title):
+        self.title = title
+        self.rows = []
+
+    def add(self, name, passed, detail=""):
+        self.rows.append((name, bool(passed), detail))
+
+    @property
+    def passed(self):
+        return all(ok for _, ok, _ in self.rows)
+
+    def lines(self):
+        out = [f"[{self.title}]"]
+        for name, ok, detail in self.rows:
+            mark = "PASS" if ok else "FAIL"
+            suffix = f"  ({detail})" if detail else ""
+            out.append(f"  {mark}  {name}{suffix}")
+        return out
 
 
 def records_to_json(records):

@@ -19,7 +19,6 @@ coefficients are the genus-g one-point invariants; the b_{m,n} table
 packages the reciprocal-sigma coefficients the same way.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
@@ -124,19 +123,6 @@ def b_table(bound):
                 f"outside the (E4/24, -E6/108) lattice: {sorted(remaining)}"
             )
     return MappingProxyType(table)
-
-
-@dataclass(frozen=True)
-class WeierstrassTable:
-    """Both recursion tables, keyed by (m, n) with 4m + 6n <= bound."""
-
-    bound: int
-    a: MappingProxyType
-    b: MappingProxyType
-
-
-def weierstrass_table(bound):
-    return WeierstrassTable(bound, weierstrass_a(bound), b_table(bound))
 
 
 @lru_cache(maxsize=None)

@@ -8,12 +8,8 @@ identity with the first failing coefficient on failure.
 
 import random
 
-from .anomaly import (
-    CheckReport,
-    d_dC2,
-    hae_onepoint_check,
-    prime_form_anomaly_check,
-)
+from ._backend import add_into, exp_mul_dict
+from .anomaly import d_dC2, hae_onepoint_check, prime_form_anomaly_check
 from .cayley import cayley_frame, cayley_transform, fjrw_onepoint_all_genus
 from .chazy import (
     D_DS,
@@ -43,6 +39,7 @@ from .mirror import (
 )
 from .npoint import connected_stationary, npoint, stationary_invariant
 from .rational import ONE, rat
+from .records import CheckReport
 from .series import PowerSeries
 from .theta import (
     one_over_theta,
@@ -252,33 +249,20 @@ def _two_point_matches_closed_form(dz):
     g = [ltd.coefficient(e) for e in range(1, cap + 1)]  # odd part, z^1 up
     # [g(z1)+g(z2)]/(z1+z2) for odd g: sum_{k odd} g_k * H_{k-1}
     # with H_m = sum_{i+j=m} (-1)^j z1^i z2^j ... built directly:
-    sym = {}
-    for k in range(1, cap + 1, 2):
-        gk = g[k - 1]
-        if gk.is_zero():
-            continue
-        for i in range(k):
-            j = k - 1 - i
-            key = (i, j)
-            c = gk if j % 2 == 0 else -gk
-            sym[key] = sym.get(key, QMPolynomial.zero()) + c
-    from ._backend import exp_mul_dict_capped
-
-    part = exp_mul_dict_capped(h12, {k: v for k, v in sym.items() if v}, cap)
+    sym = add_into(
+        {},
+        (
+            ((i, m - i), -g[m] if (m - i) % 2 else g[m])
+            for m in range(0, cap, 2)
+            for i in range(m + 1)
+        ),
+    )
+    part = exp_mul_dict(h12, sym, cap)
     # + h12 * z1^-1 z2^-1
-    total = {}
-    for key, v in part.items():
-        if sum(key) <= dz:
-            total[key] = v
-    for key, v in h12.items():
-        nk = (key[0] - 1, key[1] - 1)
-        if sum(nk) <= dz:
-            s = total.get(nk, QMPolynomial.zero()) + v
-            if s:
-                total[nk] = s
-            else:
-                total.pop(nk, None)
-    return {k: v for k, v in total.items() if v} == assembled.data
+    total = {key: v for key, v in part.items() if sum(key) <= dz}
+    shifted = (((k1 - 1, k2 - 1), v) for (k1, k2), v in h12.items())
+    add_into(total, ((key, v) for key, v in shifted if sum(key) <= dz))
+    return total == assembled.data
 
 
 def suite_weights(config):

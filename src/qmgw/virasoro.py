@@ -27,8 +27,10 @@ level), exponent)) to rationals.
 from dataclasses import dataclass
 from math import factorial, lcm
 
+from ._backend import add_into
 from .errors import InvalidSeries
-from .rational import ONE, ZERO, rat
+from .rational import ONE, rat
+from .records import CheckReport
 
 SECTORS = (0, 1, 2, 3)
 THEORIES = ("curve", "fermat_cubic")
@@ -68,14 +70,7 @@ def poly_var(sector, level):
 
 
 def poly_add(p, q):
-    out = dict(p)
-    for k, v in q.items():
-        s = out.get(k, ZERO) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+    return add_into(dict(p), q.items())
 
 
 def poly_scale(p, c):
@@ -90,14 +85,13 @@ def poly_mul_mono(p, mono, c):
     c = rat(c)
     if not c:
         return {}
-    out = {}
+    out = []
     for k, v in p.items():
         merged = dict(k)
         for var, e in mono:
             merged[var] = merged.get(var, 0) + e
-        key = tuple(sorted(merged.items()))
-        out[key] = out.get(key, ZERO) + c * v
-    return out
+        out.append((tuple(sorted(merged.items())), c * v))
+    return add_into({}, out)
 
 
 def mono_deriv(mono, var):
@@ -140,33 +134,22 @@ class DiffOperator:
         return cls(aff, lin)
 
     def apply(self, poly):
-        out = {}
-        for var, c in self.affine:
-            for mono, coeff in poly.items():
-                hit = mono_deriv(mono, var)
-                if hit is None:
-                    continue
-                e, reduced = hit
-                s = out.get(reduced, ZERO) + c * e * coeff
-                if s:
-                    out[reduced] = s
-                else:
-                    out.pop(reduced, None)
-        for (src, dst), c in self.linear:
+        # an affine term d/d(var) is a linear term with no source variable
+        terms = [(None, var, c) for var, c in self.affine]
+        terms += [(src, dst, c) for (src, dst), c in self.linear]
+        out = []
+        for src, dst, c in terms:
             for mono, coeff in poly.items():
                 hit = mono_deriv(mono, dst)
                 if hit is None:
                     continue
-                e, reduced = hit
-                merged = dict(reduced)
-                merged[src] = merged.get(src, 0) + 1
-                key = tuple(sorted(merged.items()))
-                s = out.get(key, ZERO) + c * e * coeff
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return out
+                e, key = hit
+                if src is not None:
+                    merged = dict(key)
+                    merged[src] = merged.get(src, 0) + 1
+                    key = tuple(sorted(merged.items()))
+                out.append((key, c * e * coeff))
+        return add_into({}, out)
 
     def scaled(self, c):
         c = rat(c)
@@ -181,41 +164,23 @@ class DiffOperator:
         [t_u d_v, t_p d_q] = delta_{v,p} t_u d_q - delta_{q,u} t_p d_v
         [d_v, t_p d_q]     = delta_{v,p} d_q
         """
-        aff = {}
-        lin = {}
-
-        def add_aff(var, c):
-            if c:
-                s = aff.get(var, ZERO) + c
-                if s:
-                    aff[var] = s
-                else:
-                    aff.pop(var, None)
-
-        def add_lin(src, dst, c):
-            if c:
-                key = (src, dst)
-                s = lin.get(key, ZERO) + c
-                if s:
-                    lin[key] = s
-                else:
-                    lin.pop(key, None)
-
+        aff = []
+        lin = []
         for (u, v), c1 in self.linear:
             for (p, q), c2 in other.linear:
                 if v == p:
-                    add_lin(u, q, c1 * c2)
+                    lin.append(((u, q), c1 * c2))
                 if q == u:
-                    add_lin(p, v, -c1 * c2)
+                    lin.append(((p, v), -c1 * c2))
         for v, c1 in self.affine:
             for (p, q), c2 in other.linear:
                 if v == p:
-                    add_aff(q, c1 * c2)
+                    aff.append((q, c1 * c2))
         for (p, q), c2 in self.linear:
             for v, c1 in other.affine:
                 if v == p:
-                    add_aff(q, -c1 * c2)
-        return DiffOperator.build(aff, lin)
+                    aff.append((q, -c1 * c2))
+        return DiffOperator.build(add_into({}, aff), add_into({}, lin))
 
 
 def virasoro_op(theory, k, level_cap):
@@ -263,8 +228,6 @@ def virasoro_commutator_check(n, m, level_cap, theory="curve"):
     independent cross-check, both sides are also applied through
     `DiffOperator.apply` to 1 and to each window variable.
     """
-    from .anomaly import CheckReport
-
     if n < -1 or m < -1 or n + m < -1:
         raise InvalidSeries("need n, m >= -1 and n + m >= -1")
     window = level_cap - max(n, m, n + m, 0)

@@ -151,6 +151,13 @@ class TestFjrwCommands:
         assert by_n[6] == "1/243"
         assert by_n[12] == "104/6561"
 
+    def test_invariants_max_one(self, capsys):
+        code, out = run_cli(["fjrw", "invariants", "--max", "1", "--no-cache"])
+        assert code == 0, capsys.readouterr().err
+        (record,) = parse_json_lines(out)
+        assert record["insertions"] == ["phi"]
+        assert record["payload"] == "0/1"
+
     def test_onepoint_genus_two(self):
         code, out = run_cli(
             [

@@ -39,7 +39,7 @@ def _run(code):
 
 
 def _cli_imports(cache_dir, *argv):
-    """The qmgw modules a `python -X importtime -m qmgw.cli` run loads."""
+    """The modules a `python -X importtime -m qmgw.cli` run loads."""
     proc = _python(
         "-X", "importtime", "-m", "qmgw.cli", "--cache-dir", str(cache_dir),
         *argv,
@@ -47,9 +47,7 @@ def _cli_imports(cache_dir, *argv):
     names = set()
     for line in proc.stderr.splitlines():
         if line.startswith("import time:") and "|" in line:
-            name = line.rsplit("|", 1)[1].strip()
-            if name.startswith("qmgw"):
-                names.add(name)
+            names.add(line.rsplit("|", 1)[1].strip())
     return names
 
 
@@ -70,6 +68,7 @@ class TestStartup:
         loaded = _cli_imports(tmp_path, "tables", "a", "--bound", "14")
         assert "qmgw.theta" in loaded
         assert not loaded & {"qmgw.npoint", "qmgw.virasoro", "qmgw.mirror"}
+        assert "dataclasses" not in loaded
 
     @pytest.mark.parametrize(
         "argv",
@@ -82,6 +81,14 @@ class TestStartup:
     def test_warm_read_loads_no_mathematics(self, tmp_path, argv):
         _cli_imports(tmp_path, *argv)
         assert not _cli_imports(tmp_path, *argv) & MATH_MODULES
+
+    def test_mirror_loads_no_npoint_or_cayley(self):
+        loaded = _run(
+            "import json, sys\n"
+            "import qmgw.mirror\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        assert not {"qmgw.npoint", "qmgw.cayley"} & set(loaded)
 
     def test_warm_eisenstein_read_loads_only_series(self, tmp_path):
         argv = ("tables", "eisenstein", "--k", "6", "--order", "30")

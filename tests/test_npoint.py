@@ -108,7 +108,6 @@ def _anomaly_merge_residuals(n, dz):
     which couples consecutive assemblies on every coefficient.  Returns
     the offending monomials inside the valid window (empty = pass).
     """
-    from qmgw._backend import exp_mul_dict_capped
     from qmgw.anomaly import d_dC2
     from qmgw.npoint import _linear_form_powers
 

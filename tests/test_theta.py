@@ -16,7 +16,6 @@ from qmgw.theta import (
     sigma_tilde,
     theta_z_derivative,
     weierstrass_a,
-    weierstrass_table,
 )
 
 QM1 = QMPolynomial.constant(ONE)
@@ -79,11 +78,6 @@ class TestWeierstrassTables:
                 table[(0, 0)] = 5
         assert weierstrass_a(6)[(0, 0)] == ONE
         assert b_table(6)[(0, 0)] == ONE
-
-    def test_table_wrapper(self):
-        t = weierstrass_table(10)
-        assert t.a[(0, 0)] == ONE and t.b[(0, 0)] == ONE
-        assert t.bound == 10
 
 
 class TestPrimeForm:
