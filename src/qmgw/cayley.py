@@ -119,7 +119,7 @@ def cayley_transform(p, frame, order=None):
     return qm_eval(p, order, gens=gens)
 
 
-def fjrw_onepoint_all_genus(g, frame, bound=None):
+def fjrw_onepoint_all_genus(g, frame):
     """One-point genus-g function from the reciprocal-sigma table:
 
         sum_{l+2m+3n=g} (b_{m,n}/l!) (-CE2/24)^l (CE4/24)^m (-CE6/108)^n.
@@ -131,7 +131,7 @@ def fjrw_onepoint_all_genus(g, frame, bound=None):
         frame.e4 * rat(1, 24),
         frame.e6 * rat(-1, 108),
     )
-    return b_table_onepoint(g, images, bound)
+    return b_table_onepoint(g, images)
 
 
 def fjrw_correlation(insertions, frame):

@@ -216,7 +216,7 @@ def cmd_fjrw(args, config, out):
     from .cayley import cayley_frame, fjrw_onepoint_all_genus
 
     frame = cayley_frame(config.s_order)
-    series = fjrw_onepoint_all_genus(genus, frame, bound=config.b_bound)
+    series = fjrw_onepoint_all_genus(genus, frame)
     records = [
         InvariantRecord(
             "fjrw_cubic",

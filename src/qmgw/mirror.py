@@ -211,21 +211,19 @@ def mirror_map_series(order):
 
 
 def revert_series(f):
-    """Compositional inverse of f = x + O(x^2), coefficientwise.
+    """Compositional inverse g of f = x + O(x^2), by Lagrange inversion:
 
-    Newton-free recurrence: impose f(g(q)) = q order by order.
+        [q^k] g = (1/k) [x^(k-1)] (x/f)^k.
     """
-    if f.coefficient(0) or f.coefficient(1) != ONE:
+    if f.start or f.coefficient(0) or f.coefficient(1) != ONE:
         raise InvalidSeries("reversion needs f = x + O(x^2)")
-    n = f.order
-    g = [ZERO, ONE] + [ZERO] * (n - 1)
-    for k in range(2, n + 1):
-        # coefficient of q^k in f(g) using g up to order k (g_k unknown,
-        # appears only through the linear term of f)
-        partial = PowerSeries(f.var, g[: k + 1])
-        comp = f.compose(partial)
-        g[k] = -comp.coefficient(k)
-    return PowerSeries(f.var, g).retag(f.var)
+    x_over_f = PowerSeries(f.var, f.coeffs[1:]).reciprocal()
+    g = [ZERO]
+    power = x_over_f
+    for k in range(1, f.order + 1):
+        g.append(power.coefficient(k - 1) / k)
+        power = power * x_over_f
+    return PowerSeries(f.var, g)
 
 
 def mirror_map_check(order=10):

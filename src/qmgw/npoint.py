@@ -99,17 +99,6 @@ def _substitute(series_coeffs, powers, cap):
     return out
 
 
-def _on_leg(coeffs, leg, n_legs, cap):
-    """sum_e coeffs[e] z_leg^e as an exponent dict, degrees e <= cap."""
-    out = {}
-    for e, c in enumerate(coeffs[: cap + 1]):
-        if c:
-            key = [0] * n_legs
-            key[leg] = e
-            out[tuple(key)] = c
-    return out
-
-
 def _shift_key(key, i, amount):
     return key[:i] + (key[i] + amount,) + key[i + 1 :]
 
@@ -164,13 +153,13 @@ def _nonempty_subsets(n):
     return out
 
 
-def _det_cleared(entries, n):
+def _det_cleared(entries, n, cap):
     """Leibniz determinant of the cleared matrix given as {(i,j): value}.
 
     Every value is an exponent dict; missing entries are structural zeros.
+    Products of total degree > cap are not formed.
     """
     total = {}
-    cap = entries["cap"]
     for perm in permutations(range(n)):
         factors = [entries.get((perm[j], j)) for j in range(n)]
         if any(d is None for d in factors):
@@ -238,9 +227,7 @@ def npoint(n_legs, z_order):
     # 1/u where u(w) = Theta(w)/w; power series with constant term 1
     unit_inv_list = [oot.coefficient(e - 1) for e in range(cap + 1)]
 
-    powers = {
-        s: _linear_form_powers(s, n, cap) for s in subsets if len(s) >= 2
-    }
+    powers = {s: _linear_form_powers(s, n, cap) for s in subsets}
 
     prefixes = [tuple(range(k + 1)) for k in range(n)]  # {0}, {0,1}, ...
     prefix_set = set(prefixes)
@@ -249,7 +236,7 @@ def npoint(n_legs, z_order):
     # carries Theta^{(j-i+1)}(w)/(j-i+1)! * Theta(w) cleared to
     # Theta^{(j-i+1)}(w)/(j-i+1)! with w = z_{prefix of length n-1-j};
     # the last column holds the constants Theta^{(n-i)}(0)/(n-i)!.
-    entries = {"cap": cap}
+    entries = {}
     subst_cache = {}
     for j in range(n - 1):
         arg = prefixes[n - 2 - j]  # prefix of length n-1-j
@@ -261,25 +248,18 @@ def npoint(n_legs, z_order):
                     lst = theta_list
                 else:
                     lst = [c * rat(1, factorial(m)) for c in deriv_lists[m]]
-                if len(arg) == 1:
-                    subst_cache[key] = _on_leg(lst, arg[0], n, cap)
-                else:
-                    subst_cache[key] = _substitute(lst, powers[arg], cap)
+                subst_cache[key] = _substitute(lst, powers[arg], cap)
             entries[(i, j)] = subst_cache[key]
     for i in range(n):
         const = theta.coefficient(n - i)  # Theta^{(n-i)}(0)/(n-i)!
         if const:
             entries[(i, n - 1)] = {(0,) * n: const}
 
-    one_term = _det_cleared(entries, n)
+    one_term = _det_cleared(entries, n, cap)
     for s in subsets:
-        if s in prefix_set:
-            continue
-        if len(s) == 1:
-            factor = _on_leg(theta_list, s[0], n, cap)
-        else:
+        if s not in prefix_set:
             factor = _substitute(theta_list, powers[s], cap)
-        one_term = exp_mul_dict(one_term, factor, cap)
+            one_term = exp_mul_dict(one_term, factor, cap)
 
     # symmetrize over the legs
     total = {}
@@ -301,10 +281,7 @@ def npoint(n_legs, z_order):
     # ...then the unit parts 1/u(z_S)
     assert valid == z_order + n
     for s in subsets:
-        if len(s) >= 2:
-            factor = _substitute(unit_inv_list, powers[s], valid)
-        else:
-            factor = _on_leg(unit_inv_list, s[0], n, valid)
+        factor = _substitute(unit_inv_list, powers[s], valid)
         total = exp_mul_dict(total, factor, valid)
 
     # finally the monomial shift by prod z_i^{-1}

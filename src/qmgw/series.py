@@ -269,12 +269,12 @@ class PowerSeries:
     def log(self):
         """log(self); requires constant term exactly 1."""
         self._require_power_series("log")
-        if self.coeffs[0] != ONE:
+        if self.coeffs[0] != self._zero + 1:
             raise InvalidSeries("log needs constant term 1")
         n = self.order
-        out = [ZERO] * (n + 1)
+        out = [self._zero] * (n + 1)
         for k in range(1, n + 1):
-            acc = ZERO
+            acc = self._zero
             for i in range(1, k):
                 if out[i]:
                     acc += i * out[i] * self.coeffs[k - i]
@@ -327,7 +327,7 @@ class PowerSeries:
         self._require_power_series("subst_power")
         if k < 1:
             raise InvalidSeries("subst_power needs k >= 1")
-        out = [ZERO] * (self.order + 1)
+        out = [self._zero] * (self.order + 1)
         for n, c in enumerate(self.coeffs):
             if c and n * k <= self.order:
                 out[n * k] = c
@@ -336,7 +336,7 @@ class PowerSeries:
     def shift(self, k):
         """Multiply by var^k (k >= 0), truncating at the same order."""
         self._require_power_series("shift")
-        out = [ZERO] * k + list(self.coeffs)
+        out = [self._zero] * k + list(self.coeffs)
         return self._like(out[: self.order + 1], 0)
 
     def divide(self, other):

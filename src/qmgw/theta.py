@@ -195,16 +195,15 @@ def onepoint_qm(g, z_order=None):
     return one_over_theta(max(z_order, 2 * g + 1)).coefficient(2 * g - 1)
 
 
-def b_table_onepoint(g, images, bound=None):
+def b_table_onepoint(g, images):
     """The genus-g sum of the b-table in any ring:
 
         sum_{l+2m+3n=g} (b_{m,n}/l!) c2^l c4^m c6^n,
 
-    where images = (c2, c4, c6) are the images of -E2/24, E4/24, -E6/108.
+    where images = (c2, c4, c6) are the images of -E2/24, E4/24, -E6/108;
+    it reads the entries with 4m + 6n <= 2g only.
     """
-    if bound is None:
-        bound = 2 * g
-    table = b_table(max(bound, 2 * g))
+    table = b_table(2 * g)
     c2, c4, c6 = images
     out = None
     for m in range(g // 2 + 1):
@@ -220,7 +219,7 @@ def b_table_onepoint(g, images, bound=None):
     return out
 
 
-def onepoint_from_b(g, bound=None):
+def onepoint_from_b(g):
     """The one-point invariant from the b-table route, in Q[E2, E4, E6]."""
     images = (E2 * rat(-1, 24), E4 * rat(1, 24), E6 * rat(-1, 108))
-    return b_table_onepoint(g, images, bound)
+    return b_table_onepoint(g, images)

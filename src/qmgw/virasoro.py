@@ -21,11 +21,11 @@ constant and linear terms, so the relation is checked by comparing the
 commutator with (n - m) L_{n+m} term by term over that window.
 
 Polynomials are dicts mapping monomials (sorted tuples of ((sector,
-level), exponent)) to rationals.
+level), exponent)) to rationals; the monomial 1 is ().
 """
 
-from dataclasses import dataclass
 from math import factorial, lcm
+from types import MappingProxyType
 
 from ._backend import add_into
 from .errors import InvalidSeries
@@ -52,17 +52,13 @@ def pochhammer(a, n):
 # polynomial helpers
 
 
-def mono_one():
-    return ()
-
-
 def mono_var(sector, level):
     return (((sector, level), 1),)
 
 
 def poly_const(c):
     c = rat(c)
-    return {mono_one(): c} if c else {}
+    return {(): c} if c else {}
 
 
 def poly_var(sector, level):
@@ -94,93 +90,66 @@ def poly_mul_mono(p, mono, c):
     return add_into({}, out)
 
 
-def mono_deriv(mono, var):
-    """d/d var of a monomial: (multiplicity, reduced monomial) or None."""
-    d = dict(mono)
-    e = d.get(var, 0)
-    if not e:
-        return None
-    if e == 1:
-        del d[var]
-    else:
-        d[var] = e - 1
-    return e, tuple(sorted(d.items()))
-
-
-def poly_equal(p, q):
-    return poly_add(p, poly_scale(q, -1)) == {}
-
-
 # ---------------------------------------------------------------------------
 # first-order operators
 
 
-@dataclass(frozen=True)
 class DiffOperator:
-    """c * d/d(var) affine terms plus c * src * d/d(dst) linear terms.
+    """sum c * t[src] d/d t[dst] over the read-only, zero-free dict
+    `terms`: {(src, dst): c}.  An affine term c * d/d t[dst] has the
+    empty source ().
 
-    `affine` maps var -> coefficient; `linear` maps (src, dst) -> coefficient.
-    Acts linearly on the polynomial ring; first-order, so composition and
-    commutators stay inside the class extended by these two term shapes.
+    Built from (key, coeff) pairs, summed per key.  Acts linearly on the
+    polynomial ring; first-order, so commutators stay inside the class.
     """
 
-    affine: tuple  # sorted ((sector, level), coeff)
-    linear: tuple  # sorted (((src), (dst)), coeff)
+    __slots__ = ("terms",)
 
-    @classmethod
-    def build(cls, affine, linear):
-        aff = tuple(sorted((k, v) for k, v in affine.items() if v))
-        lin = tuple(sorted((k, v) for k, v in linear.items() if v))
-        return cls(aff, lin)
+    def __init__(self, pairs):
+        self.terms = MappingProxyType(add_into({}, pairs))
+
+    def __eq__(self, other):
+        if not isinstance(other, DiffOperator):
+            return NotImplemented
+        return self.terms == other.terms
 
     def apply(self, poly):
-        # an affine term d/d(var) is a linear term with no source variable
-        terms = [(None, var, c) for var, c in self.affine]
-        terms += [(src, dst, c) for (src, dst), c in self.linear]
+        by_dst = {}
+        for (src, dst), c in self.terms.items():
+            by_dst.setdefault(dst, []).append((src, c))
         out = []
-        for src, dst, c in terms:
-            for mono, coeff in poly.items():
-                hit = mono_deriv(mono, dst)
-                if hit is None:
-                    continue
-                e, key = hit
-                if src is not None:
-                    merged = dict(key)
-                    merged[src] = merged.get(src, 0) + 1
-                    key = tuple(sorted(merged.items()))
-                out.append((key, c * e * coeff))
+        for mono, coeff in poly.items():
+            for var, e in mono:
+                down = dict(mono)
+                down[var] = e - 1
+                for src, c in by_dst.get(var, ()):
+                    key = dict(down)
+                    if src:
+                        key[src] = key.get(src, 0) + 1
+                    key = tuple(sorted((v, x) for v, x in key.items() if x))
+                    out.append((key, c * e * coeff))
         return add_into({}, out)
 
     def scaled(self, c):
         c = rat(c)
-        return DiffOperator.build(
-            {k: c * v for k, v in self.affine},
-            {k: c * v for k, v in self.linear},
-        )
+        return DiffOperator((k, c * v) for k, v in self.terms.items())
 
     def commutator(self, other):
-        """[self, other] inside the affine + linear class.
+        """[self, other], term by term:
 
-        [t_u d_v, t_p d_q] = delta_{v,p} t_u d_q - delta_{q,u} t_p d_v
-        [d_v, t_p d_q]     = delta_{v,p} d_q
+            [t_u d_v, t_p d_q] = delta_{v,p} t_u d_q - delta_{q,u} t_p d_v
+
+        An empty source contributes no factor and equals no target, so
+        affine terms need no case of their own.
         """
-        aff = []
-        lin = []
-        for (u, v), c1 in self.linear:
-            for (p, q), c2 in other.linear:
+        out = []
+        for (u, v), c1 in self.terms.items():
+            for (p, q), c2 in other.terms.items():
                 if v == p:
-                    lin.append(((u, q), c1 * c2))
+                    out.append(((u, q), c1 * c2))
                 if q == u:
-                    lin.append(((p, v), -c1 * c2))
-        for v, c1 in self.affine:
-            for (p, q), c2 in other.linear:
-                if v == p:
-                    aff.append((q, c1 * c2))
-        for (p, q), c2 in self.linear:
-            for v, c1 in other.affine:
-                if v == p:
-                    aff.append((q, -c1 * c2))
-        return DiffOperator.build(add_into({}, aff), add_into({}, lin))
+                    out.append(((p, v), -c1 * c2))
+        return DiffOperator(out)
 
 
 def virasoro_op(theory, k, level_cap):
@@ -193,27 +162,19 @@ def virasoro_op(theory, k, level_cap):
         raise InvalidSeries(
             f"level cap {level_cap} too small for L_{k} (needs >= {k + 1})"
         )
-    affine = {(0, k + 1): -rat(factorial(k + 1))}
-    linear = {}
+    terms = [(((), (0, k + 1)), -rat(factorial(k + 1)))]
     for sector in SECTORS:
         off = SECTOR_OFFSET[sector]
         for l in range(level_cap + 1):
-            dst = k + l
-            if dst < 0 or dst > level_cap:
-                continue
-            w = pochhammer(rat(l + off), k + 1)
-            if w:
-                linear[((sector, l), (sector, dst))] = w
-    return DiffOperator.build(affine, linear)
+            if 0 <= k + l <= level_cap:
+                w = pochhammer(rat(l + off), k + 1)
+                terms.append((((sector, l), (sector, k + l)), w))
+    return DiffOperator(terms)
 
 
 def _window_terms(op, window):
-    """The affine and linear terms of `op` that differentiate a variable
-    of level <= window."""
-    return (
-        {var: c for var, c in op.affine if var[1] <= window},
-        {(src, dst): c for (src, dst), c in op.linear if dst[1] <= window},
-    )
+    """The terms of `op` that differentiate a variable of level <= window."""
+    return {key: c for key, c in op.terms.items() if key[1][1] <= window}
 
 
 def virasoro_commutator_check(n, m, level_cap, theory="curve"):
@@ -222,11 +183,11 @@ def virasoro_commutator_check(n, m, level_cap, theory="curve"):
     The window is the variables of level <= level_cap - max(n, m, n+m, 0),
     where the truncated operators compose as the untruncated ones do.
     Both sides are derivations, so by the Leibniz rule they agree on every
-    polynomial in the window variables exactly when their affine and
-    linear terms that differentiate a window variable agree; those terms
-    of `commutator` and `scaled` are compared one by one.  As an
-    independent cross-check, both sides are also applied through
-    `DiffOperator.apply` to 1 and to each window variable.
+    polynomial in the window variables exactly when their terms that
+    differentiate a window variable agree; those terms of `commutator`
+    and `scaled` are compared one by one.  As an independent cross-check,
+    both sides are also applied through `DiffOperator.apply` to 1 and to
+    each window variable.
     """
     if n < -1 or m < -1 or n + m < -1:
         raise InvalidSeries("need n, m >= -1 and n + m >= -1")
@@ -239,15 +200,12 @@ def virasoro_commutator_check(n, m, level_cap, theory="curve"):
     ln = virasoro_op(theory, n, level_cap)
     lm = virasoro_op(theory, m, level_cap)
     lnm = virasoro_op(theory, n + m, level_cap)
-    bad_terms = 0
-    for got, want in zip(
-        _window_terms(ln.commutator(lm), window),
-        _window_terms(lnm.scaled(n - m), window),
-    ):
-        keys = got.keys() | want.keys()
-        bad_terms += sum(got.get(k) != want.get(k) for k in keys)
+    got = _window_terms(ln.commutator(lm), window)
+    want = _window_terms(lnm.scaled(n - m), window)
+    keys = got.keys() | want.keys()
+    bad_terms = sum(got.get(k) != want.get(k) for k in keys)
     bad_monos = 0
-    probes = [mono_one()] + [
+    probes = [()] + [
         mono_var(s, l) for s in SECTORS for l in range(window + 1)
     ]
     for mono in probes:
@@ -255,7 +213,7 @@ def virasoro_commutator_check(n, m, level_cap, theory="curve"):
         lhs = poly_add(
             ln.apply(lm.apply(poly)), poly_scale(lm.apply(ln.apply(poly)), -1)
         )
-        if not poly_equal(lhs, poly_scale(lnm.apply(poly), n - m)):
+        if lhs != poly_scale(lnm.apply(poly), n - m):
             bad_monos += 1
     report.add(
         f"[L_{n}, L_{m}] = ({n - m}) L_{n + m} on window monomials",

@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from qmgw.cli import main
 from qmgw.modular import E2, ramanujan_derive
 from qmgw.rational import rat, rat_str
 
+TESTS = Path(__file__).resolve().parent
 
 def run_cli(argv):
     out = io.StringIO()
@@ -221,6 +224,17 @@ class TestVerifyCommand:
         code, out = run_cli(["verify", "mirror", "--no-cache"])
         assert code == 0
         assert "on the nose" in out
+
+    def test_transcript_is_pinned(self):
+        # an intended change to a verify line updates verify_all.txt too
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmgw.cli", "verify", "all", "--no-cache"],
+            env=dict(os.environ, PYTHONPATH=str(TESTS.parent / "src")),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (TESTS / "verify_all.txt").read_text()
 
 
 class TestTables:

@@ -198,3 +198,28 @@ class TestLaurent:
         assert product.coefficient(0) == ONE
         for n in range(1, 4):
             assert product.coefficient(n) == ZERO
+
+
+class TestGeneratorCoefficients:
+    """Series over the generator polynomials keep their coefficient ring."""
+
+    def setup_method(self):
+        from qmgw.modular import E2, E4, QMPolynomial
+
+        self.one = QMPolynomial.constant(1)
+        self.zero = QMPolynomial.zero()
+        self.e2, self.e4 = E2, E4
+
+    def test_shift_pads_with_the_ring_zero(self):
+        f = PowerSeries("z", [self.one, self.e2, self.zero])
+        assert f.shift(1) == PowerSeries("z", [self.zero, self.one, self.e2])
+
+    def test_subst_power_pads_with_the_ring_zero(self):
+        f = PowerSeries("z", [self.one, self.e2, self.zero])
+        assert f.subst_power(2) == PowerSeries(
+            "z", [self.one, self.zero, self.e2]
+        )
+
+    def test_log_inverts_exp(self):
+        a = PowerSeries("z", [self.zero, self.e2, self.e4])
+        assert a.exp().log() == a

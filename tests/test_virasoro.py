@@ -10,7 +10,6 @@ from qmgw.virasoro import (
     pochhammer,
     poly_add,
     poly_const,
-    poly_equal,
     poly_mul_mono,
     poly_scale,
     poly_var,
@@ -35,12 +34,12 @@ class TestOperators:
         for level in (0, 3, 5):
             got = l0.apply(poly_var(0, level))
             want = poly_scale(poly_var(0, level), level)
-            assert poly_equal(got, want)
+            assert got == want
 
     def test_point_sector_shifted_weight(self):
         l0 = virasoro_op("curve", 0, 8)
         got = l0.apply(poly_var(3, 4))
-        assert poly_equal(got, poly_scale(poly_var(3, 4), 5))
+        assert got == poly_scale(poly_var(3, 4), 5)
 
     def test_kills_constants(self):
         for k in range(-1, 4):
@@ -80,14 +79,11 @@ class TestBracket:
         lm1 = virasoro_op("curve", -1, cap)
         l0 = virasoro_op("curve", 0, cap)
         comm = l1.commutator(lm1)
-        twice = dict(l0.scaled(2).linear)
-        got = dict(comm.linear)
+        twice = l0.scaled(2).terms
         for (src, dst), coeff in twice.items():
-            if src[1] <= cap - 2 and dst[1] <= cap - 2:
-                assert got.get((src, dst)) == coeff
-        assert dict(comm.affine).get((0, 1)) == dict(
-            l0.scaled(2).affine
-        ).get((0, 1))
+            if src and src[1] <= cap - 2 and dst[1] <= cap - 2:
+                assert comm.terms.get((src, dst)) == coeff
+        assert comm.terms.get(((), (0, 1))) == twice.get(((), (0, 1)))
 
     def test_antisymmetry(self):
         report = virasoro_commutator_check(2, 2, 10, "curve")
@@ -111,7 +107,8 @@ class TestBracket:
             if k != 1:
                 return op
             return DiffOperator(
-                tuple((var, 2 * c) for var, c in op.affine), op.linear
+                ((src, dst), 2 * c if src == () else c)
+                for (src, dst), c in op.terms.items()
             )
 
         monkeypatch.setattr(qmgw.virasoro, "virasoro_op", doubled)
@@ -164,16 +161,15 @@ class TestQuantization:
 
 class TestDiffOperatorAlgebra:
     def test_commutator_shapes_close(self):
-        a = DiffOperator.build({(0, 1): ONE}, {((0, 0), (0, 2)): rat(2)})
-        b = DiffOperator.build({}, {((0, 2), (0, 3)): ONE})
+        a = DiffOperator([(((), (0, 1)), ONE), (((0, 0), (0, 2)), rat(2))])
+        b = DiffOperator([(((0, 2), (0, 3)), ONE)])
         c = a.commutator(b)
         assert isinstance(c, DiffOperator)
         # [d/dt01 + 2 t00 d/dt02, t02 d/dt03] = 2 t00 d/dt03
-        assert dict(c.linear) == {((0, 0), (0, 3)): rat(2)}
-        assert dict(c.affine) == {}
+        assert c.terms == {((0, 0), (0, 3)): rat(2)}
 
     def test_scaling_by_zero_is_the_zero_operator(self):
-        zero = DiffOperator.build({}, {})
+        zero = DiffOperator([])
         assert virasoro_op("curve", 1, 10).scaled(0) == zero
 
     def test_leibniz_rule_on_products(self):
@@ -187,7 +183,7 @@ class TestDiffOperatorAlgebra:
                         poly_mul_mono(op.apply(poly_var(*x)), mono_var(*y), 1),
                         poly_mul_mono(op.apply(poly_var(*y)), mono_var(*x), 1),
                     )
-                    assert poly_equal(op.apply(product), want), (k, x, y)
+                    assert op.apply(product) == want, (k, x, y)
 
     def test_action_linearity(self):
         op = virasoro_op("curve", 1, 6)
@@ -195,4 +191,4 @@ class TestDiffOperatorAlgebra:
         q = poly_var(3, 2)
         lhs = op.apply(poly_add(p, q))
         rhs = poly_add(op.apply(p), op.apply(q))
-        assert poly_equal(lhs, rhs)
+        assert lhs == rhs
