@@ -28,19 +28,19 @@ polynomial in the q-order, where summing over partitions costs p(n).
 
 from functools import lru_cache
 from math import factorial
+from operator import add, mul
 
 from .errors import InvalidSeries
 from .modular import bernoulli, euler_coefficients
 from .rational import rat
 
 
-def _over(mask, values):
-    """Product of values[i] over the set bits i of mask."""
-    out = 1
-    for i, v in enumerate(values):
-        if mask >> i & 1:
-            out *= v
-    return out
+def _over_masks(values, op, unit):
+    """table[mask] = op-fold of values[i] over the set bits i of mask."""
+    table = [unit]
+    for v in values:
+        table += [op(t, v) for t in table]
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -55,10 +55,7 @@ def bracket(exponents, order):
         raise InvalidSeries(f"bracket exponents must be >= 0, got {exponents}")
     full = (1 << len(exponents)) - 1
     budget = 2 * order  # bound on 2|lam|
-    power = [
-        sum(e for i, e in enumerate(exponents) if mask >> i & 1)
-        for mask in range(full + 1)
-    ]
+    power = _over_masks(exponents, add, 0)
 
     # One side: (d sites, sum t of their 2s, legs absorbed) -> count.  The
     # other side also needs d sites, so t + d^2 <= budget.
@@ -81,31 +78,31 @@ def bracket(exponents, order):
     # Unabsorbed legs take their constant c_i = num_i/den_i; everything is
     # scaled by prod den_i so that the sums stay integral.
     consts = [(2 ** e - 1) * -bernoulli(e + 1) / (e + 1) for e in exponents]
-    nums = [c.numerator for c in consts]
-    dens = [c.denominator for c in consts]
+    over_nums = _over_masks([c.numerator for c in consts], mul, 1)
+    over_dens = _over_masks([c.denominator for c in consts], mul, 1)
     # holes plus constants: (d, legs covered) -> {t: count}
     rest = {}
     for (d, t, mask), v in side.items():
         sign = -1 if (bin(mask).count("1") + power[mask]) % 2 else 1
-        v *= sign * _over(mask, dens)
+        v *= sign * over_dens[mask]
         free = full ^ mask
         sub = free
         while True:
             row = rest.setdefault((d, mask | sub), {})
-            row[t] = row.get(t, 0) + v * _over(sub, nums)
+            row[t] = row.get(t, 0) + v * over_nums[sub]
             if not sub:
                 break
             sub = (sub - 1) & free
     numer = [0] * (order + 1)
     for (d, t, mask), v in side.items():
-        v *= _over(mask, dens)
+        v *= over_dens[mask]
         for t2, h in rest.get((d, full ^ mask), {}).items():
             if t + t2 <= budget:
                 numer[(t + t2) // 2] += v * h
 
     # 1 / sum_lam q^|lam| is the Euler product prod (1 - q^k)
     euler = euler_coefficients(order)
-    scale = _over(full, dens)
+    scale = over_dens[full]
     for e in exponents:
         scale *= 2 ** e * factorial(e)
     return tuple(

@@ -5,14 +5,17 @@ map from exponent triples (a, b, c) <-> E2^a E4^b E6^c to rational
 coefficients; the weight is read off the terms (2a + 4b + 6c when every
 monomial agrees on it).  The Ramanujan identities make the ring
 closed under the primed derivative, and `quasimodularize` inverts
-q-expansion: it fits a q-series to the weight-w monomial basis by an exact
-linear solve and verifies the fit on every remaining coefficient.
+q-expansion: it fits a q-series to the weight-w monomial basis and verifies
+the fit on every remaining coefficient.  E2, E4 and E6 have integer
+q-coefficients, so the basis expansions are cached tuples of ints
+(`monomial_ints`) and the fit is one fraction-free (Bareiss) integer solve.
 """
 
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
 
-from ._backend import add_into, exp_mul_dict
+from ._backend import add_into, conv_trunc, exp_mul_dict
 from .errors import InsufficientOrder, InvalidSeries, NotQuasiModular
 from .rational import ONE, ZERO, rat
 from .series import _SCALARS, THETA_Q, PowerSeries
@@ -302,31 +305,63 @@ def weight_basis(w):
     return tuple(sorted(out))
 
 
-def _solve_exact(matrix, rhs):
-    """Gaussian elimination over the rationals; returns None if singular."""
+@lru_cache(maxsize=None)
+def monomial_ints(key, order):
+    """q-coefficients 0..order of E2^a E4^b E6^c, key = (a, b, c), as ints.
+
+    E2, E4 and E6 have integer coefficients, so every monomial does; each
+    is one convolution of a cached predecessor (the key with its last
+    nonzero exponent lowered) with its generator.
+    """
+    slot = max((i for i, e in enumerate(key) if e), default=None)
+    if slot is None:
+        return (1,) + (0,) * order
+    prev = monomial_ints(key[:slot] + (key[slot] - 1,) + key[slot + 1 :], order)
+    gen = [int(c) for c in eisenstein(2 * slot + 2, order).coeffs]
+    return tuple(conv_trunc(prev, gen, order, 0))
+
+
+def _solve_fraction_free(matrix, rhs):
+    """Solve matrix . x = rhs for a square integer matrix and rational rhs.
+
+    Bareiss elimination (Math. Comp. 22 (1968) 565-578) keeps every entry
+    an integer; one fraction-free back substitution then gives the
+    integers y = den * x.  Returns (y, den), or None if the matrix is
+    singular.
+    """
     n = len(matrix)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
+    scale = lcm(*(r.denominator for r in rhs))
+    m = [list(row) + [r.numerator * (scale // r.denominator)]
+         for row, r in zip(matrix, rhs)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
             return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = ONE / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+        m[k], m[pivot] = m[pivot], m[k]
+        top = m[k]
+        pk = top[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            rk = row[k]
+            m[i] = [(pk * x - rk * t) // prev for x, t in zip(row, top)]
+        prev = pk
+    # the last pivot is +-det, so y = det * x is integral (Cramer)
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = prev * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
+        y[i] = acc // row[i]
+    return y, prev * scale
 
 
 def quasimodularize(f, w, margin=10):
     """Fit a q-series to the weight-w basis {E2^a E4^b E6^c : 2a+4b+6c=w}.
 
     The first dim-many coefficients determine the candidate by an exact
-    linear solve; all remaining available coefficients must then match
-    (at least `margin` of them, so membership is distinguished from an
-    underdetermined fit).
+    fraction-free solve against the integer basis expansions; all
+    remaining available coefficients must then match (at least `margin`
+    of them, so membership is distinguished from an underdetermined fit).
     """
     basis = weight_basis(w)
     if not basis:
@@ -339,33 +374,28 @@ def quasimodularize(f, w, margin=10):
             f"(got {f.order})",
             required=needed,
         )
-    expansions = [
-        qm_eval(QMPolynomial({key: ONE}), f.order) for key in basis
-    ]
-    matrix = [
-        [expansions[j].coefficient(i) for j in range(dim)] for i in range(dim)
-    ]
-    rhs = [f.coefficient(i) for i in range(dim)]
-    solution = _solve_exact(matrix, rhs)
-    if solution is None:
+    columns = [monomial_ints(key, f.order) for key in basis]
+    solved = _solve_fraction_free(
+        [[col[i] for col in columns] for i in range(dim)],
+        [f.coefficient(i) for i in range(dim)],
+    )
+    if solved is None:
         raise NotQuasiModular(
             f"weight-{w} basis expansions became singular (internal error)"
         )
-    candidate = QMPolynomial(
-        {key: c for key, c in zip(basis, solution)}, weight=w
-    )
-    # verify on everything past the determining block
+    nums, den = solved
+    # verify on everything past the determining block: fit = acc / den
     for i in range(dim, f.order + 1):
-        acc = ZERO
-        for j, c in enumerate(solution):
-            if c:
-                acc += c * expansions[j].coefficient(i)
-        if acc != f.coefficient(i):
+        acc = sum(y * col[i] for y, col in zip(nums, columns) if y)
+        have = f.coefficient(i)
+        if acc * have.denominator != den * have.numerator:
             raise NotQuasiModular(
-                f"residual at q^{i}: fit gives {acc}, series has "
-                f"{f.coefficient(i)} (weight {w})"
+                f"residual at q^{i}: fit gives {rat(acc, den)}, series has "
+                f"{have} (weight {w})"
             )
-    return candidate
+    return QMPolynomial(
+        {key: rat(y, den) for key, y in zip(basis, nums)}, weight=w
+    )
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,9 +12,11 @@ from qmgw.modular import (
     E4,
     E6,
     QMPolynomial,
+    _solve_fraction_free,
     bernoulli,
     eisenstein,
     euler_function,
+    monomial_ints,
     qm_eval,
     quasimodularize,
     ramanujan_derive,
@@ -200,8 +205,11 @@ class TestQuasimodularize:
         assert quasimodularize(eisenstein(8, 20), 8) == E4 * E4
 
     def test_wrong_weight_rejected(self):
-        with pytest.raises(NotQuasiModular):
+        with pytest.raises(NotQuasiModular) as err:
             quasimodularize(eisenstein(2, 20), 4)
+        assert str(err.value) == (
+            "residual at q^2: fit gives 576, series has -72 (weight 4)"
+        )
 
     def test_insufficient_order(self):
         with pytest.raises(InsufficientOrder) as err:
@@ -210,18 +218,35 @@ class TestQuasimodularize:
 
     def test_not_quasimodular_series(self):
         f = euler_function(25)
-        with pytest.raises(NotQuasiModular):
+        with pytest.raises(NotQuasiModular) as err:
             quasimodularize(f, 4)
+        assert str(err.value) == (
+            "residual at q^2: fit gives 714, series has -1 (weight 4)"
+        )
+
+    def test_fractional_residual_reported_exactly(self):
+        with pytest.raises(NotQuasiModular) as err:
+            quasimodularize(euler_function(40), 12)
+        assert str(err.value) == (
+            "residual at q^7: fit gives 24908425748/13, series has 1 (weight 12)"
+        )
 
     def test_round_trip_identity(self):
         p = E2 * E4 + 3 * E6
         dim = len(weight_basis(6))
         assert quasimodularize(qm_eval(p, dim + 10), 6) == p
 
+    def test_every_margin_coefficient_checked(self):
+        p = E2 * E4 + 3 * E6
+        dim = len(weight_basis(6))
+        good = list(qm_eval(p, dim + 10).coeffs)
+        for i in range(dim, dim + 11):
+            bad = PowerSeries("q", good[:i] + [good[i] + 1] + good[i + 1 :])
+            with pytest.raises(NotQuasiModular, match=rf"^residual at q\^{i}:"):
+                quasimodularize(bad, 6)
+
     def test_basis_expansions_independent(self):
         # the square solve block must be invertible at every used weight
-        from qmgw.modular import _solve_exact
-
         for w in (4, 8, 12, 14):
             basis = weight_basis(w)
             dim = len(basis)
@@ -232,12 +257,80 @@ class TestQuasimodularize:
                 ]
                 for i in range(dim)
             ]
+            assert all(x.denominator == 1 for row in rows for x in row)
+            rows = [[x.numerator for x in row] for row in rows]
             # solving against an arbitrary rhs must succeed
-            assert _solve_exact(rows, [ONE] * dim) is not None
+            assert _solve_fraction_free(rows, [ONE] * dim) is not None
+
+    def test_fit_runs_no_fraction_convolution(self, monkeypatch):
+        p = E2**3 * E6 + 5 * E4**3 - rat(2, 7) * E6 * E6 + E2 * E4 * E6
+        dim = len(weight_basis(12))
+        series = qm_eval(p, dim + 10)
+        real_conv = modular.conv_trunc
+
+        def refuse(*args):
+            raise AssertionError("the fit expanded a polynomial over Q")
+
+        def ints_only(a, b, n, zero):
+            assert all(type(x) is int for x in (*a, *b, zero))
+            return real_conv(a, b, n, zero)
+
+        modular.monomial_ints.cache_clear()
+        monkeypatch.setattr(modular, "qm_eval", refuse)
+        monkeypatch.setattr(PowerSeries, "__mul__", refuse)
+        monkeypatch.setattr(modular, "conv_trunc", ints_only)
+        assert quasimodularize(series, 12) == p
+        assert modular.monomial_ints.cache_info().misses > 0
 
     def test_weight_zero(self):
         f = PowerSeries.constant("q", rat(5), 15)
         assert quasimodularize(f, 0) == QMPolynomial.constant(5)
+
+
+class TestMonomialInts:
+    def test_matches_qm_eval(self):
+        for w in range(0, 25, 2):
+            for key in weight_basis(w):
+                got = monomial_ints(key, 30)
+                assert isinstance(got, tuple)
+                want = qm_eval(QMPolynomial({key: ONE}), 30).coeffs
+                assert got == tuple(want)
+
+
+def _gauss(matrix, rhs):
+    """Plain Gauss-Jordan elimination over Fraction; None if singular."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[n] for row in m]
+
+
+class TestFractionFreeSolve:
+    def test_agrees_with_fraction_gauss(self):
+        rng = random.Random(11)
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            matrix = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            rhs = [rat(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+            want = _gauss(matrix, rhs)
+            got = _solve_fraction_free(matrix, rhs)
+            if want is None:
+                singular += 1
+                assert got is None
+            else:
+                nums, den = got
+                assert [Fraction(y, den) for y in nums] == want
+        assert 0 < singular < 300
 
 
 class TestReduceE2k:
