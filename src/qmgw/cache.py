@@ -8,7 +8,6 @@ so stale or damaged caches can never change results.  Writes go through a
 temp file in the same directory followed by an atomic rename.
 """
 
-import hashlib
 import json
 import os
 from functools import lru_cache
@@ -25,10 +24,18 @@ MALFORMED = (
 )
 
 
+def _sha256(data=b""):
+    # hashlib maps OpenSSL's libcrypto (~3.5 MB): only a process that reads
+    # or writes the cache loads it
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
 @lru_cache(maxsize=None)
 def code_version():
     """SHA-256 over the package's .py sources; computed once per process."""
-    digest = hashlib.sha256()
+    digest = _sha256()
     package = Path(__file__).resolve().parent
     for path in sorted(package.rglob("*.py")):
         digest.update(path.relative_to(package).as_posix().encode())
@@ -40,14 +47,14 @@ def code_version():
 
 def _checksum(payload):
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _sha256(blob.encode()).hexdigest()
 
 
 def _key(operation, parameters):
     blob = json.dumps(
         {"op": operation, "params": parameters}, sort_keys=True
     )
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
+    return _sha256(blob.encode()).hexdigest()[:24]
 
 
 def cache_path(cache_dir, operation, parameters):

@@ -7,7 +7,7 @@ derivative.  The transcendental data pinning the expansion point are never
 evaluated; they are recorded as documentation strings on the frame.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
 
 from .chazy import (
@@ -42,27 +42,27 @@ DEGREES = {"1": 0, "b1": 1, "b2": 1, "phi": 2}
 PSI_MAP = {"1": "1", "omega": "phi", "e1": "b1", "e2": "b2"}
 
 
-@dataclass(frozen=True)
-class FjrwInsertion:
-    label: str
-    psi: int = 0
+class FjrwInsertion(namedtuple("FjrwInsertion", "label psi")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.label not in LABELS:
-            raise InvalidSeries(f"unknown insertion label {self.label!r}")
-        if self.psi < 0:
+    def __new__(cls, label, psi=0):
+        if label not in LABELS:
+            raise InvalidSeries(f"unknown insertion label {label!r}")
+        if psi < 0:
             raise InvalidSeries("psi-power must be >= 0")
+        return super().__new__(cls, label, psi)
 
 
-@dataclass(frozen=True)
-class CayleyFrame:
+class CayleyFrame(
+    namedtuple(
+        "CayleyFrame",
+        "e2 e4 e6 tau_star scale",
+        defaults=(TAU_STAR_NOTE, SCALE_NOTE),
+    )
+):
     """s-expansions of the three generators around the elliptic point."""
 
-    e2: PowerSeries
-    e4: PowerSeries
-    e6: PowerSeries
-    tau_star: str = TAU_STAR_NOTE
-    scale: str = SCALE_NOTE
+    __slots__ = ()
 
     @property
     def order(self):
@@ -185,12 +185,11 @@ def fjrw_primary_genus1_invariants(max_n, order=None):
     return values[:max_n]
 
 
-@dataclass(frozen=True)
-class GenusZeroData:
+class GenusZeroData(namedtuple("GenusZeroData", "pairings")):
     """Primary genus-zero data: the residue pairing values and the
     statement that every primary genus-zero value with n >= 4 vanishes."""
 
-    pairings: tuple
+    __slots__ = ()
 
     def pairing(self, a, b, c):
         for (x, y, z), v in self.pairings:

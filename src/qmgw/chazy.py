@@ -8,7 +8,7 @@ genus-one FJRW series is -1/24 times the s-frame solution whose second
 derivative is fixed by the initial three-insertion invariant.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidSeries
 from .rational import ZERO, rat
@@ -19,13 +19,10 @@ from .series import D_DS, DERIVE_MODES, THETA_Q, PowerSeries
 THETA_1_3 = rat(1, 108)
 
 
-@dataclass(frozen=True)
-class ChazyInitialData:
+class ChazyInitialData(namedtuple("ChazyInitialData", "f0 f1 f2")):
     """f(0), f'(0), f''(0) of a formal s-frame solution."""
 
-    f0: object
-    f1: object
-    f2: object
+    __slots__ = ()
 
 
 def chazy_residual(f, mode):

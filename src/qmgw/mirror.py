@@ -9,7 +9,7 @@ solutions and inverts the flat coordinate to locate alpha among the
 series reversion of the mirror map.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from .errors import InsufficientOrder, InvalidSeries
@@ -19,11 +19,8 @@ from .records import CheckReport
 from .series import THETA_Q, PowerSeries
 
 
-@dataclass(frozen=True)
-class HypergeometricParams:
-    a: object
-    b: object
-    c: object
+class HypergeometricParams(namedtuple("HypergeometricParams", "a b c")):
+    __slots__ = ()
 
 
 def hyp2f1(params, order):

@@ -317,8 +317,15 @@ def monomial_ints(key, order):
     if slot is None:
         return (1,) + (0,) * order
     prev = monomial_ints(key[:slot] + (key[slot] - 1,) + key[slot + 1 :], order)
-    gen = [int(c) for c in eisenstein(2 * slot + 2, order).coeffs]
-    return tuple(conv_trunc(prev, gen, order, 0))
+    return tuple(conv_trunc(prev, _generator_ints(slot, order), order, 0))
+
+
+@lru_cache(maxsize=None)
+def _generator_ints(slot, order):
+    """q-coefficients 0..order of E2, E4 or E6 (slot 0, 1, 2) as ints:
+    1, then -24, 240 or -504 times sigma_{2 slot + 1}(n)."""
+    sums = _divisor_power_sums(2 * slot + 1, order)
+    return (1,) + tuple((-24, 240, -504)[slot] * s for s in sums[1:])
 
 
 def _solve_fraction_free(matrix, rhs):

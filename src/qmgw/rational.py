@@ -20,6 +20,8 @@ ONE = Rational(1)
 
 
 def rat(num, den=1):
+    if den == 1 and type(num) is Rational:
+        return num  # exact and normalised already
     if isinstance(num, str):
         num = Rational(num)
         return num if den == 1 else num / Rational(den)

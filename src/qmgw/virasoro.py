@@ -101,12 +101,16 @@ class DiffOperator:
 
     Built from (key, coeff) pairs, summed per key.  Acts linearly on the
     polynomial ring; first-order, so commutators stay inside the class.
+    `apply` reads them through the index `_by_dst`: {dst: [(src, c)]}.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_by_dst")
 
     def __init__(self, pairs):
         self.terms = MappingProxyType(add_into({}, pairs))
+        self._by_dst = {}
+        for (src, dst), c in self.terms.items():
+            self._by_dst.setdefault(dst, []).append((src, c))
 
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
@@ -114,15 +118,12 @@ class DiffOperator:
         return self.terms == other.terms
 
     def apply(self, poly):
-        by_dst = {}
-        for (src, dst), c in self.terms.items():
-            by_dst.setdefault(dst, []).append((src, c))
         out = []
         for mono, coeff in poly.items():
             for var, e in mono:
                 down = dict(mono)
                 down[var] = e - 1
-                for src, c in by_dst.get(var, ()):
+                for src, c in self._by_dst.get(var, ()):
                     key = dict(down)
                     if src:
                         key[src] = key.get(src, 0) + 1

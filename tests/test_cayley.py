@@ -197,6 +197,10 @@ class TestCorrelation:
         with pytest.raises(InvalidSeries):
             FjrwInsertion("omega")
 
+    def test_negative_psi_rejected(self):
+        with pytest.raises(InvalidSeries):
+            FjrwInsertion("phi", -1)
+
 
 class TestInvariantExtraction:
     def test_genus_one_invariants(self):

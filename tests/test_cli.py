@@ -296,6 +296,16 @@ class TestDeterminismAndCache:
         code, again = run_cli(args)
         assert code == 0 and again == cold
 
+    def test_cache_names_and_checksums_pinned(self, tmp_path):
+        """SHA-256 keys and checksums as ever: hashing on first use
+        changes no cache byte."""
+        run_cli(["tables", "b", "--bound", "14", "--cache-dir", str(tmp_path)])
+        path = cache.cache_path(tmp_path, "weierstrass-b", {"bound": 14})
+        assert path.name == "weierstrass-b-04bae9618c78fb8c7f200360.json"
+        assert json.loads(path.read_text())["checksum"] == (
+            "cced0c3517b66a8c018452c8da193003883cf89b1d1c11c1ad7adc752146a19a"
+        )
+
     def test_version_mismatch_recomputes(self, tmp_path):
         args = ["fjrw", "invariants", "--max", "6", "--cache-dir", str(tmp_path)]
         _, cold = run_cli(args)

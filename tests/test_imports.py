@@ -23,6 +23,10 @@ MATH_MODULES = {
     )
 }
 
+#: OpenSSL (through `hashlib`) and `dataclasses` (which pulls in `inspect`):
+#: only a disk-cache read or write may load the first, nothing the second
+HEAVY = {"hashlib", "_hashlib", "dataclasses", "inspect"}
+
 
 def _python(*args):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -95,6 +99,38 @@ class TestStartup:
         _cli_imports(tmp_path, *argv)
         loaded = _cli_imports(tmp_path, *argv) & MATH_MODULES
         assert loaded == {"qmgw.series", "qmgw._backend"}
+
+
+class TestFootprint:
+    @pytest.mark.parametrize(
+        "imports",
+        [("qmgw", "qmgw.cli"), tuple(sorted(MATH_MODULES))],
+        ids=["cli", "mathematics"],
+    )
+    def test_imports_load_no_openssl_or_dataclasses(self, imports):
+        loaded = _run(
+            "import json, sys\n"
+            f"import {', '.join(imports)}\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        assert not HEAVY & set(loaded)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "chazy"),
+            ("gw", "npoint", "--legs", "2", "--psi", "0,2"),
+        ],
+    )
+    def test_uncached_run_loads_no_openssl_or_dataclasses(self, tmp_path, argv):
+        assert not HEAVY & _cli_imports(tmp_path, *argv, "--no-cache")
+
+    def test_cache_read_and_write_load_hashlib(self, tmp_path):
+        argv = ("tables", "b", "--bound", "14")
+        cold = _cli_imports(tmp_path, *argv)
+        warm = _cli_imports(tmp_path, *argv)
+        assert "hashlib" in cold and "hashlib" in warm
+        assert not {"dataclasses", "inspect"} & (cold | warm)
 
 
 class TestLazyExports:

@@ -296,6 +296,12 @@ class TestMonomialInts:
                 want = qm_eval(QMPolynomial({key: ONE}), 30).coeffs
                 assert got == tuple(want)
 
+    def test_generator_table_matches_eisenstein(self):
+        for slot, k in enumerate((2, 4, 6)):
+            for order in range(61):
+                want = [int(c) for c in eisenstein(k, order).coeffs]
+                assert list(modular._generator_ints(slot, order)) == want
+
 
 def _gauss(matrix, rhs):
     """Plain Gauss-Jordan elimination over Fraction; None if singular."""

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import coeff_lists
 from qmgw.errors import InvalidSeries, VariableMismatch
-from qmgw.rational import ONE, ZERO, rat
+from qmgw.rational import ONE, ZERO, Rational, rat
 from qmgw.series import D_DS, THETA_Q, PowerSeries
 
 
@@ -14,6 +14,21 @@ def series(var, *coeffs):
 
 def q_series(order):
     return coeff_lists(order).map(lambda cs: PowerSeries("q", cs))
+
+
+class TestRat:
+    def test_exact_argument_returned_as_is(self):
+        x = Rational(-3, 4)
+        assert rat(x) is x
+        assert rat(x, 2) == Rational(-3, 8)
+
+    @pytest.mark.parametrize(
+        "value, want",
+        [(3, 3), (-7, -7), ("-10/12", Rational(-5, 6)), (True, 1), (False, 0)],
+    )
+    def test_other_arguments_keep_value_and_type(self, value, want):
+        got = rat(value)
+        assert got == want and type(got) is Rational
 
 
 class TestMul:
