@@ -21,26 +21,63 @@ many holes at -(b_j + 1/2) (its modified Frobenius coordinates), with
 (2^e - 1) zeta(-e).  Expanding the product over legs assigns each leg to
 one particle, one hole or its constant, so the bracket needs no partition
 enumeration: one integer DP over the sites counts the ways d particles
-with sum of 2s equal to t absorb a set of legs, and the holes are the
-same count up to the sign (-1)^(#legs + sum of their e).  Cost is
-polynomial in the q-order, where summing over partitions costs p(n).
+with sum of 2s equal to t absorb legs, and the holes are the same count up
+to the sign (-1)^(#legs + sum of their e).  Cost is polynomial in the
+q-order, where summing over partitions costs p(n).
+
+Legs with equal exponents are interchangeable, so the DP keys its state
+on k, the number of legs absorbed from each class of equal exponents, not
+on the set of legs: equal legs cost polynomially, not 3^N.  With c_i legs
+in class i, a leg set with counts k is one of prod_i C(c_i, k_i), so the
+pairing divides by that number exactly.  The value of a state packs all
+its counts into one int, the count for d sites and t at bit offset
+(d*size + t)*width (Kronecker substitution; Harvey, J. Symbolic Comput.
+44 (2009) 1502-1510): taking a site is one mask-and-shift per state, each
+class choice one multiply-add, and the pairing's products are summed as
+one packed int that is unpacked once.
 """
 
 from functools import lru_cache
-from math import factorial
-from operator import add, mul
+from math import comb, factorial, isqrt, prod
+from operator import mul
 
 from .errors import InvalidSeries
 from .modular import bernoulli, euler_coefficients
 from .rational import rat
 
 
-def _over_masks(values, op, unit):
-    """table[mask] = op-fold of values[i] over the set bits i of mask."""
-    table = [unit]
-    for v in values:
-        table += [op(t, v) for t in table]
-    return table
+def _absorb(rows, caps, bases):
+    """Spread rows[k] over every k + j with j <= caps - k, weighted by
+    prod_i C(caps_i - k_i, j_i) bases_i^j_i, the ways to pick j_i more of
+    the caps_i - k_i free legs of class i, each taking bases_i.  One class
+    at a time, so a state costs sum_i (caps_i + 1) multiply-adds, not
+    prod_i (caps_i + 1); zero weights are skipped."""
+    for i, (cap, base) in enumerate(zip(caps, bases)):
+        powers = [base**j for j in range(cap + 1)]
+        spread = {}
+        for k, row in rows.items():
+            head, ki, tail = k[:i], k[i], k[i + 1 :]
+            for j in range(cap - ki + 1):
+                if powers[j]:
+                    key = head + (ki + j,) + tail
+                    w = comb(cap - ki, j) * powers[j]
+                    spread[key] = spread.get(key, 0) + row * w
+        rows = spread
+    return rows
+
+
+def _unpack(packed, width, count):
+    """Slots 0..count-1 of sum_t a_t 2^(t*width), each -2^(width-1) <=
+    a_t < 2^(width-1); the slots above count may hold anything."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    packed &= (1 << (count * width)) - 1
+    out = []
+    for _ in range(count):
+        slot = ((packed + half) & mask) - half
+        out.append(slot)
+        packed = (packed - slot) >> width
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -53,59 +90,85 @@ def bracket(exponents, order):
     exponents = tuple(exponents)
     if any(e < 0 for e in exponents):
         raise InvalidSeries(f"bracket exponents must be >= 0, got {exponents}")
-    full = (1 << len(exponents)) - 1
+    values = sorted(set(exponents))  # one class per distinct exponent u
+    caps = tuple(exponents.count(u) for u in values)
     budget = 2 * order  # bound on 2|lam|
-    power = _over_masks(exponents, add, 0)
+    # An unabsorbed leg takes its constant num/den; everything is scaled by
+    # prod den so that the counts stay integral.
+    consts = [(2**u - 1) * -bernoulli(u + 1) / (u + 1) for u in values]
+    nums = [c.numerator for c in consts]
+    dens = [c.denominator for c in consts]
 
-    # One side: (d sites, sum t of their 2s, legs absorbed) -> count.  The
-    # other side also needs d sites, so t + d^2 <= budget.
-    side = {(0, 0, 0): 1}
+    # Slot width.  Every slot read below (of a particle row, scaled for the
+    # pairing or not, of a hole-and-constant row, or of the pairing at
+    # 2|lam| = T <= budget) is a sum over configurations of sites and over
+    # assignments of each leg to one site, to its constant or, in a row, to
+    # nothing.  The configurations of one slot are partitions of one
+    # n <= order: lam itself in the pairing, and for a row of d sites with
+    # sum t those sites with 1, 3, ..., 2d - 1 on the other side, a
+    # partition of (t + d^2)/2 (the DP keeps t + d^2 <= budget).
+    # So there are at most p(order) <= 2^(order-1) of them, since each
+    # partition is a composition.  For one configuration the sum of |terms|
+    # over the assignments is at most a product over legs of
+    # 1 + den sum_sites m^u + |num|.  The sites m sum to at most budget, so
+    # sum m^u <= budget^max(u, 1) (the number of sites for u = 0), and the
+    # factor is at most (den + |num|) (budget^max(u, 1) + 1).  Hence
+    # |slot| <= bound < 2^(width-2); a d-block of `size` slots then stays
+    # below 2^(size*width-1) in absolute value, so slots and blocks unpack
+    # exactly, and the particle slots, which are >= 0, mask exactly.
+    bound = 1 << max(order - 1, 0)
+    for u, cap, num, den in zip(values, caps, nums, dens):
+        bound *= ((den + abs(num)) * (budget ** max(u, 1) + 1)) ** cap
+    width = bound.bit_length() + 2
+    size = budget + 1  # slots t = 0..budget of one d-block
+    blocks = isqrt(order) + 1  # d^2 <= t and t + d^2 <= budget
+
+    # Particles: rows[k] packs the count for d sites whose 2s sum to t at
+    # slot d*size + t, summed over the leg sets with counts k.  The holes
+    # also need d sites, so t + d^2 <= budget.  Taking site m moves slot
+    # (d, t) to (d + 1, t + m).
+    rows = {(0,) * len(caps): 1}
     for m in range(1, budget, 2):
-        grown = dict(side)
-        for (d, t, mask), v in side.items():
-            if t + m + (d + 1) ** 2 > budget:
-                continue
-            free = full ^ mask
-            sub = free
-            while True:
-                key = (d + 1, t + m, mask | sub)
-                grown[key] = grown.get(key, 0) + v * m ** power[sub]
-                if not sub:
-                    break
-                sub = (sub - 1) & free
-        side = grown
-
-    # Unabsorbed legs take their constant c_i = num_i/den_i; everything is
-    # scaled by prod den_i so that the sums stay integral.
-    consts = [(2 ** e - 1) * -bernoulli(e + 1) / (e + 1) for e in exponents]
-    over_nums = _over_masks([c.numerator for c in consts], mul, 1)
-    over_dens = _over_masks([c.denominator for c in consts], mul, 1)
-    # holes plus constants: (d, legs covered) -> {t: count}
-    rest = {}
-    for (d, t, mask), v in side.items():
-        sign = -1 if (bin(mask).count("1") + power[mask]) % 2 else 1
-        v *= sign * over_dens[mask]
-        free = full ^ mask
-        sub = free
-        while True:
-            row = rest.setdefault((d, mask | sub), {})
-            row[t] = row.get(t, 0) + v * over_nums[sub]
-            if not sub:
+        keep = 0  # the slots (d, t) with t + m + (d + 1)^2 <= budget
+        for d in range(blocks):
+            room = budget - m - (d + 1) ** 2
+            if room < 0:
                 break
-            sub = (sub - 1) & free
-    numer = [0] * (order + 1)
-    for (d, t, mask), v in side.items():
-        v *= over_dens[mask]
-        for t2, h in rest.get((d, full ^ mask), {}).items():
-            if t + t2 <= budget:
-                numer[(t + t2) // 2] += v * h
+            keep |= ((1 << (room + 1) * width) - 1) << d * size * width
+        taken = {k: row & keep for k, row in rows.items()}
+        for k, row in _absorb(taken, caps, [m**u for u in values]).items():
+            rows[k] = rows.get(k, 0) + (row << (size + m) * width)
 
-    # 1 / sum_lam q^|lam| is the Euler product prod (1 - q^k)
-    euler = euler_coefficients(order)
-    scale = over_dens[full]
+    # Holes and constants: rest[k] for the legs they cover, packed the
+    # same way.  A hole takes den * -(-m)^u, so a hole row carries
+    # prod (-(-1)^u den)^k.
+    hole = [-den if u % 2 == 0 else den for u, den in zip(values, dens)]
+    holes = {k: row * prod(map(pow, hole, k)) for k, row in rows.items()}
+    rest = _absorb(holes, caps, nums)
+
+    # Every set of legs with the same counts holds the same share of a row,
+    # so the pairing of one particle set with the complementary holes is the
+    # row divided exactly by the number of such sets.  The d-blocks of the
+    # two sides pair up one by one, as t-rows.
+    packed = 0
+    for k, row in rows.items():
+        other = rest.get(tuple(cap - ki for cap, ki in zip(caps, k)))
+        if other is None:
+            continue
+        row = row // prod(map(comb, caps, k)) * prod(map(pow, dens, k))
+        packed += sum(
+            map(mul, _unpack(row, size * width, blocks),
+                _unpack(other, size * width, blocks))
+        )
+    numer = _unpack(packed, width, budget + 1)[::2]
+
+    # 1 / sum_lam q^|lam| is the Euler product prod (1 - q^k), whose
+    # nonzero coefficients sit at the pentagonal numbers
+    euler = [(p, c) for p, c in enumerate(euler_coefficients(order)) if c]
+    scale = prod(map(pow, dens, caps))
     for e in exponents:
         scale *= 2 ** e * factorial(e)
     return tuple(
-        rat(sum(numer[j] * euler[n - j] for j in range(n + 1)), scale)
+        rat(sum(c * numer[n - p] for p, c in euler if p <= n), scale)
         for n in range(order + 1)
     )

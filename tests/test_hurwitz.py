@@ -1,15 +1,17 @@
 """The completed-cycles route against the determinant assembly and against
 a direct sum over partitions."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from operator import add, mul
 
 import pytest
 
 from qmgw.errors import InvalidSeries
-from qmgw.hurwitz import bracket
-from qmgw.modular import E2, bernoulli, ramanujan_derive
+from qmgw.hurwitz import _unpack, bracket
+from qmgw.modular import E2, bernoulli, euler_coefficients, ramanujan_derive
 from qmgw.npoint import connected_stationary, npoint, stationary_invariant
 from qmgw.rational import rat
 
@@ -71,6 +73,78 @@ def brute_force_bracket(legs, order):
     return tuple(out)
 
 
+def mask_dp_bracket(exponents, order):
+    """The bracket by the earlier DP, whose state holds the set of absorbed
+    legs as a bit mask: 3^N work, kept here as an oracle."""
+
+    def over_masks(values, op, unit):
+        table = [unit]
+        for v in values:
+            table += [op(t, v) for t in table]
+        return table
+
+    full = (1 << len(exponents)) - 1
+    budget = 2 * order
+    power = over_masks(exponents, add, 0)
+    side = {(0, 0, 0): 1}
+    for m in range(1, budget, 2):
+        grown = dict(side)
+        for (d, t, mask), v in side.items():
+            if t + m + (d + 1) ** 2 > budget:
+                continue
+            free = full ^ mask
+            sub = free
+            while True:
+                key = (d + 1, t + m, mask | sub)
+                grown[key] = grown.get(key, 0) + v * m ** power[sub]
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+        side = grown
+    consts = [(2**e - 1) * -bernoulli(e + 1) / (e + 1) for e in exponents]
+    over_nums = over_masks([c.numerator for c in consts], mul, 1)
+    over_dens = over_masks([c.denominator for c in consts], mul, 1)
+    rest = {}
+    for (d, t, mask), v in side.items():
+        sign = -1 if (bin(mask).count("1") + power[mask]) % 2 else 1
+        v *= sign * over_dens[mask]
+        free = full ^ mask
+        sub = free
+        while True:
+            row = rest.setdefault((d, mask | sub), {})
+            row[t] = row.get(t, 0) + v * over_nums[sub]
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    numer = [0] * (order + 1)
+    for (d, t, mask), v in side.items():
+        v *= over_dens[mask]
+        for t2, h in rest.get((d, full ^ mask), {}).items():
+            if t + t2 <= budget:
+                numer[(t + t2) // 2] += v * h
+    euler = euler_coefficients(order)
+    scale = over_dens[full]
+    for e in exponents:
+        scale *= 2**e * factorial(e)
+    return tuple(
+        rat(sum(numer[j] * euler[n - j] for j in range(n + 1)), scale)
+        for n in range(order + 1)
+    )
+
+
+def oracle_grid():
+    """Seeded exponent tuples with 1-6 legs at q-orders 0-14, drawn from
+    pools of one to three values so that most repeat an exponent, then
+    three larger cases of equal and of two classes of legs."""
+    rng = random.Random(13)
+    grid = []
+    for i in range(66):
+        pool = rng.sample(range(8), rng.randint(1, 3))
+        exponents = tuple(rng.choice(pool) for _ in range(1 + i % 6))
+        grid.append((exponents, rng.randint(0, 14)))
+    return grid + [((1,) * 7, 20), ((6,) * 6, 20), ((2, 2, 2, 3, 3, 3), 16)]
+
+
 class TestAgainstDeterminant:
     def test_two_point_every_coefficient(self):
         assert_route_matches(2, 8)
@@ -88,10 +162,30 @@ class TestAgainstDeterminant:
 
 
 class TestBracket:
-    @pytest.mark.parametrize("legs", [(0, 0, 0, 0, 0), (1, 2, 3), (0, 4)])
-    def test_equals_sum_over_partitions(self, legs):
+    @pytest.mark.parametrize(
+        "legs, order",
+        [
+            ((0, 0, 0, 0, 0), 12),
+            ((1, 2, 3), 12),
+            ((0, 4), 12),
+            ((0, 0, 1), 12),
+            ((1, 1, 0, 0), 12),
+            ((2, 2, 2, 0), 12),
+            ((0,) * 8, 10),
+        ],
+        ids=[f"legs{i}" for i in range(7)],
+    )
+    def test_equals_sum_over_partitions(self, legs, order):
         exponents = tuple(l + 1 for l in legs)
-        assert bracket(exponents, 12) == brute_force_bracket(legs, 12)
+        assert bracket(exponents, order) == brute_force_bracket(legs, order)
+
+    def test_grid_matches_mask_dp(self):
+        grid = oracle_grid()
+        assert len(grid) >= 60
+        assert {len(e) for e, _ in grid[:-3]} == set(range(1, 7))
+        for exponents, order in grid:
+            expected = mask_dp_bracket(exponents, order)
+            assert bracket(exponents, order) == expected, (exponents, order)
 
     def test_leg_order_is_irrelevant(self):
         assert bracket((3, 1, 2), 9) == bracket((1, 2, 3), 9)
@@ -102,6 +196,34 @@ class TestBracket:
     def test_negative_exponent_rejected(self):
         with pytest.raises(InvalidSeries):
             bracket((-1, 2), 5)
+
+
+class TestUnpack:
+    WIDTH = 8
+
+    def pack(self, slots):
+        return sum(a << t * self.WIDTH for t, a in enumerate(slots))
+
+    def test_negative_slots(self):
+        slots = [-1, -5, 0, -100, 3]
+        assert _unpack(self.pack(slots), self.WIDTH, 5) == slots
+
+    def test_carries_across_slots(self):
+        # -1 in slot 0 borrows from every slot above it in the packed int
+        slots = [-1, 0, 0, 1, -1, 127]
+        packed = self.pack(slots)
+        assert packed & 0xFF == 0xFF
+        assert _unpack(packed, self.WIDTH, 6) == slots
+
+    def test_edge_of_the_slot_width(self):
+        edge = [127, -128, -128, 127, -1, 127, -128]
+        assert _unpack(self.pack(edge), self.WIDTH, 7) == edge
+        # one past the edge aliases to the other end
+        assert _unpack(self.pack([128, 0]), self.WIDTH, 2) == [-128, 1]
+
+    def test_slots_above_the_count_are_ignored(self):
+        packed = self.pack([5, -7]) + (-(3**200) << 2 * self.WIDTH)
+        assert _unpack(packed, self.WIDTH, 2) == [5, -7]
 
 
 class TestAnyLegCount:
