@@ -24,12 +24,22 @@ MALFORMED = (
 )
 
 
-def _sha256(data=b""):
-    # hashlib maps OpenSSL's libcrypto (~3.5 MB): only a process that reads
-    # or writes the cache loads it
-    import hashlib
+@lru_cache(maxsize=None)
+def _sha256_type():
+    # hashlib maps OpenSSL's libcrypto (~3.5 MB); CPython's built-in module
+    # gives the same digests without it (`_sha2` from 3.12, `_sha256` before)
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
-    return hashlib.sha256(data)
+
+def _sha256(data=b""):
+    return _sha256_type()(data)
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +126,9 @@ def store(cache_dir, operation, parameters, payload):
 def cached(config, operation, parameters, compute, encode, decode):
     """Generic read-through helper honoring config.no_cache.
 
-    A payload that `decode` rejects is a miss, like any other mismatch.
+    A payload that `decode` rejects is a miss, like any other mismatch; a
+    store that fails with an OSError (say, an unwritable cache directory)
+    still returns the computed value.
     """
     if config.no_cache:
         return compute()
@@ -127,5 +139,8 @@ def cached(config, operation, parameters, compute, encode, decode):
         except MALFORMED:
             pass
     value = compute()
-    store(config.cache_dir, operation, parameters, encode(value))
+    try:
+        store(config.cache_dir, operation, parameters, encode(value))
+    except OSError:
+        pass
     return value

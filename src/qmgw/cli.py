@@ -129,6 +129,15 @@ def _emit(records, config, out):
     out.write(SERIALIZERS[config.fmt](records))
 
 
+def _psi_power(entry):
+    try:
+        return int(entry)
+    except ValueError:
+        raise UnsupportedInsertion(
+            f"psi-power {entry.strip()!r} is not an integer"
+        ) from None
+
+
 def cmd_gw(args, config, out):
     from .modular import qm_eval
     from .npoint import connected_stationary, stationary_invariant
@@ -166,7 +175,7 @@ def cmd_gw(args, config, out):
         _emit(records, config, out)
         return 0
     # npoint
-    legs = tuple(int(x) for x in args.psi.split(",") if x.strip() != "")
+    legs = tuple(_psi_power(x) for x in args.psi.split(",") if x.strip())
     if len(legs) != args.legs:
         raise UnsupportedInsertion(
             f"--legs {args.legs} but {len(legs)} psi-powers given"
@@ -256,8 +265,7 @@ def cmd_verify(args, config, out):
     names = args.suite
     unknown = [n for n in names if n != "all" and n not in SUITE_NAMES]
     if unknown:
-        out.write(f"unknown suites: {', '.join(unknown)}\n")
-        return 2
+        raise UnsupportedInsertion(f"unknown suites: {', '.join(unknown)}")
     from .verify import run_suites
 
     reports = run_suites(names, config)

@@ -106,6 +106,16 @@ class TestGwCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("psi, bad", [("0,x", "'x'"), ("0.5,1", "'0.5'")])
+    def test_non_integer_psi_exit_2(self, psi, bad, capsys):
+        code, out = run_cli(
+            ["gw", "npoint", "--legs", "2", "--psi", psi, "--no-cache"]
+        )
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: psi-power {bad} is not an integer\n"
+        )
+
     @pytest.mark.parametrize(
         "genus, psi", [("5", "0"), ("1", "2"), ("0", "0"), ("0", None), ("-1", "-2")]
     )
@@ -198,9 +208,10 @@ class TestVerifyCommand:
         assert "verify: PASS" in out
         assert "PASS  E2 satisfies the q-frame equation" in out
 
-    def test_unknown_suite(self):
+    def test_unknown_suite(self, capsys):
         code, out = run_cli(["verify", "nonsense", "--no-cache"])
-        assert code == 2
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: unknown suites: nonsense\n"
 
     def test_raising_suite_becomes_a_fail_row(self, monkeypatch):
         from qmgw import verify
@@ -252,6 +263,15 @@ class TestTables:
         assert code == 2
         assert out == ""
         assert "error: table bound must be >= 0" in capsys.readouterr().err
+
+    def test_unwritable_cache_dir_keeps_result(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        args = ["tables", "a", "--bound", "3"]
+        bypass = run_cli(args + ["--no-cache"])
+        capsys.readouterr()
+        assert run_cli(args + ["--cache-dir", str(blocker / "x")]) == bypass
+        assert capsys.readouterr().err == ""
 
     def test_a_table_dump(self):
         code, out = run_cli(["tables", "a", "--bound", "8", "--no-cache"])
@@ -352,6 +372,31 @@ class TestDeterminismAndCache:
         version = cache.code_version()
         assert len(version) == 64 and version != "0.1.0"
         assert cache.code_version() is version
+
+    @staticmethod
+    def _digests(new):
+        chunks = new()
+        for part in (b"theta.py", b"\0", b"x" * 100_000, b"\0"):
+            chunks.update(part)
+        return [new().hexdigest(), new(b"abc").hexdigest(), chunks.hexdigest()]
+
+    def test_sha256_matches_hashlib(self):
+        import hashlib
+
+        assert self._digests(cache._sha256) == self._digests(hashlib.sha256)
+
+    def test_sha256_falls_back_to_hashlib(self, monkeypatch):
+        import hashlib
+
+        expected = self._digests(hashlib.sha256)
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        cache._sha256_type.cache_clear()
+        try:
+            assert cache._sha256_type() is hashlib.sha256
+            assert self._digests(cache._sha256) == expected
+        finally:
+            cache._sha256_type.cache_clear()
 
     def test_cache_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CACHE_DIR", str(tmp_path / "envcache"))
