@@ -95,48 +95,4 @@ class _Package(ModuleType):
 
 sys.modules[__name__].__class__ = _Package
 
-__all__ = [
-    "__version__",
-    "PowerSeries",
-    "QMPolynomial",
-    "eisenstein",
-    "euler_function",
-    "qm_eval",
-    "quasimodularize",
-    "ramanujan_derive",
-    "reduce_e2k",
-    "chazy_residual",
-    "bp_residual",
-    "chazy_solve_s",
-    "fjrw_genus1_series",
-    "sigma_tilde",
-    "weierstrass_a",
-    "b_table",
-    "prime_form",
-    "one_over_theta",
-    "log_theta_deriv",
-    "npoint",
-    "stationary_invariant",
-    "connected_stationary",
-    "connected_from_disconnected",
-    "cayley_frame",
-    "cayley_transform",
-    "fjrw_correlation",
-    "fjrw_onepoint_all_genus",
-    "extract_fjrw_invariants",
-    "genus_zero_data",
-    "d_dC2",
-    "prime_form_anomaly_check",
-    "hae_onepoint_check",
-    "virasoro_op",
-    "virasoro_commutator_check",
-    "quantization_S",
-    "hyp2f1",
-    "borwein_a",
-    "borwein_c_cubed",
-    "alpha",
-    "appendix_identity_checks",
-    "i_function_gw",
-    "i_function_fjrw",
-    "mirror_map_check",
-]
+__all__ = ["__version__", *_SOURCE]

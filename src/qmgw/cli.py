@@ -129,7 +129,9 @@ def _emit(records, config, out):
     out.write(SERIALIZERS[config.fmt](records))
 
 
-def _psi_power(entry):
+def _psi_power(entry, position):
+    if not entry.strip():
+        raise UnsupportedInsertion(f"psi-power entry {position} is empty")
     try:
         return int(entry)
     except ValueError:
@@ -175,7 +177,10 @@ def cmd_gw(args, config, out):
         _emit(records, config, out)
         return 0
     # npoint
-    legs = tuple(_psi_power(x) for x in args.psi.split(",") if x.strip())
+    legs = tuple(
+        _psi_power(entry, position)
+        for position, entry in enumerate(args.psi.split(","), 1)
+    )
     if len(legs) != args.legs:
         raise UnsupportedInsertion(
             f"--legs {args.legs} but {len(legs)} psi-powers given"

@@ -7,34 +7,32 @@ prod z_i^{l_i + 1} is the disconnected stationary correlation function
 with insertions of psi-powers l_i (ancestor normalization).
 
 Assembly follows the permutation-sum of theta-derivative determinants
-divided by Theta(z_1 + ... + z_N).  Internally every 1/Theta(w) at a
-partial sum w is cleared first: one permutation's determinant (with the
-column denominators cleared) is multiplied by Theta(z_S) over all
-non-prefix subsets S, the result is symmetrized over the legs, and the
-common factor  prod_S Theta(z_S)  over all nonempty subsets is removed
-again by exact linear-form divisions followed by single-variable
-reciprocal substitutions.  This keeps every intermediate object a genuine
-multivariate polynomial; the only negative exponents appear in the final
-monomial shift by prod z_i^{-1}, where they belong.
+divided by Theta(z_1 + ... + z_N).  Write Theta(w) = w u(w) with u a unit.
+The column of the matrix at a partial sum w is multiplied by w, so it
+holds the power series Theta^{(m)}(w)/(m! u(w)), and the final
+1/Theta(z_1 + ... + z_N) contributes 1/u of the full sum; the units never
+leave the one-variable ingredients.  Only the linear forms z_S then need
+a common denominator: one permutation's cleared determinant is multiplied
+by the bare z_S over all non-prefix subsets S, the result is symmetrized
+over the legs, and the z_S with |S| >= 2 are removed again by exact
+linear-form divisions.  Every truncated product stays at total degree
+z_order + N and every intermediate object is a genuine multivariate
+polynomial; the only negative exponents appear in the final monomial
+shift by prod z_i^{-1}, where they belong.
 """
 
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import comb
+from types import MappingProxyType
 
-from ._backend import add_into, exp_mul_dict
+from ._backend import add_into, conv_trunc, exp_mul_dict
 from .errors import InsufficientOrder, InvalidSeries
 from .hurwitz import bracket
 from .modular import quasimodularize, weight_basis
-from .rational import ONE, rat
+from .rational import ONE
 from .series import PowerSeries
-from .theta import (
-    QM_ONE,
-    QM_ZERO,
-    one_over_theta,
-    prime_form,
-    theta_z_derivative,
-)
+from .theta import QM_ONE, QM_ZERO, one_over_theta, prime_form
 
 MAX_LEGS = 4
 
@@ -51,9 +49,9 @@ class MultiZPoly:
     def __init__(self, n_legs, cap, data):
         self.n_legs = n_legs
         self.cap = cap
-        self.data = {
-            k: v for k, v in data.items() if not v.is_zero()
-        }
+        self.data = MappingProxyType(
+            {k: v for k, v in data.items() if not v.is_zero()}
+        )
 
     def coefficient(self, exponents):
         return self.data.get(tuple(exponents), QM_ZERO)
@@ -77,14 +75,17 @@ class MultiZPoly:
         )
 
 
+def _linear_form(subset, n_legs):
+    """z_{i1}+...+z_{ik} as an exponent dict."""
+    return {
+        tuple(1 if j == i else 0 for j in range(n_legs)): ONE for i in subset
+    }
+
+
 def _linear_form_powers(subset, n_legs, max_degree):
     """Powers (z_{i1}+...+z_{ik})^e for e = 0..max_degree, as exponent dicts."""
-    unit = {(0,) * n_legs: ONE}
-    powers = [unit]
-    linear = {}
-    for i in subset:
-        key = tuple(1 if j == i else 0 for j in range(n_legs))
-        linear[key] = ONE
+    powers = [{(0,) * n_legs: ONE}]
+    linear = _linear_form(subset, n_legs)
     for _ in range(max_degree):
         powers.append(exp_mul_dict(powers[-1], linear, max_degree))
     return powers
@@ -196,8 +197,9 @@ def npoint(n_legs, z_order):
     """The normalized disconnected stationary N-point series, N in 1..4.
 
     Coefficients are reliable for total degree <= z_order; each exponent
-    is >= -1.  Cost grows steeply with N (the internal clearing degree is
-    z_order + 2^N - 1), which is why N is capped.
+    is >= -1.  Truncated products run at total degree z_order + N, but
+    the determinant has N! terms and the common denominator 2^N - 1 - N
+    linear forms, which is why N is capped.
     """
     if not 1 <= n_legs <= MAX_LEGS:
         raise InvalidSeries(f"n_legs must be 1..{MAX_LEGS}, got {n_legs}")
@@ -213,53 +215,50 @@ def npoint(n_legs, z_order):
         return MultiZPoly(1, z_order, data)
 
     subsets = _nonempty_subsets(n)
-    clearing = len(subsets)  # degree of prod_S z_S
-    cap = z_order + clearing
+    cap = z_order + n
 
-    # single-variable ingredients, dense lists indexed by w-exponent
-    theta = prime_form(cap + 1)
-    theta_list = [theta.coefficient(e) for e in range(cap + 1)]
-    deriv_lists = {}
-    for m in range(1, n + 1):
-        dm = theta_z_derivative(m, cap + 1)
-        deriv_lists[m] = [dm.coefficient(e) for e in range(cap + 1)]
-    oot = one_over_theta(cap + 3)
-    # 1/u where u(w) = Theta(w)/w; power series with constant term 1
+    # single-variable ingredients, dense lists indexed by w-exponent:
+    # theta_k = Theta^{(k)}(0)/k!, and 1/u(w) = w/Theta(w)
+    theta = prime_form(cap + n)
+    oot = one_over_theta(cap + n)
     unit_inv_list = [oot.coefficient(e - 1) for e in range(cap + 1)]
 
-    powers = {s: _linear_form_powers(s, n, cap) for s in subsets}
-
     prefixes = [tuple(range(k + 1)) for k in range(n)]  # {0}, {0,1}, ...
-    prefix_set = set(prefixes)
+    powers = {p: _linear_form_powers(p, n, cap) for p in prefixes}
 
     # cleared matrix for the identity ordering: column j (0-based, j < n-1)
-    # carries Theta^{(j-i+1)}(w)/(j-i+1)! * Theta(w) cleared to
-    # Theta^{(j-i+1)}(w)/(j-i+1)! with w = z_{prefix of length n-1-j};
-    # the last column holds the constants Theta^{(n-i)}(0)/(n-i)!.
+    # holds Theta^{(m)}(w)/(m! u(w)), m = j-i+1, w = z_{prefix of length
+    # n-1-j}, which is w itself for m = 0; the last column holds the
+    # constants Theta^{(n-i)}(0)/(n-i)!, and its common factor
+    # 1/u(z_1+...+z_N) multiplies the determinant once.
     entries = {}
-    subst_cache = {}
     for j in range(n - 1):
         arg = prefixes[n - 2 - j]  # prefix of length n-1-j
         for i in range(min(j + 2, n)):
             m = j - i + 1
-            key = (m, arg)
-            if key not in subst_cache:
-                if m == 0:
-                    lst = theta_list
-                else:
-                    lst = [c * rat(1, factorial(m)) for c in deriv_lists[m]]
-                subst_cache[key] = _substitute(lst, powers[arg], cap)
-            entries[(i, j)] = subst_cache[key]
+            if m == 0:
+                entries[(i, j)] = powers[arg][1]
+                continue
+            deriv = [
+                theta.coefficient(e + m) * comb(e + m, m)
+                for e in range(cap + 1)
+            ]
+            lst = conv_trunc(deriv, unit_inv_list, cap, QM_ZERO)
+            entries[(i, j)] = _substitute(lst, powers[arg], cap)
     for i in range(n):
         const = theta.coefficient(n - i)  # Theta^{(n-i)}(0)/(n-i)!
         if const:
             entries[(i, n - 1)] = {(0,) * n: const}
 
-    one_term = _det_cleared(entries, n, cap)
+    full_inv = _substitute(unit_inv_list, powers[prefixes[-1]], cap)
+    one_term = exp_mul_dict(_det_cleared(entries, n, cap), full_inv, cap)
+    # the bare linear forms z_S complete the common denominator; each one
+    # is exact, so it raises the known total degree by one
+    valid = cap
     for s in subsets:
-        if s not in prefix_set:
-            factor = _substitute(theta_list, powers[s], cap)
-            one_term = exp_mul_dict(one_term, factor, cap)
+        if s not in prefixes:
+            one_term = exp_mul_dict(one_term, _linear_form(s, n))
+            valid += 1
 
     # symmetrize over the legs
     total = {}
@@ -272,28 +271,23 @@ def npoint(n_legs, z_order):
             ),
         )
 
-    # strip prod_S Theta(z_S): exact divisions by the linear forms...
-    valid = cap
+    # strip prod_{|S| >= 2} z_S by exact linear-form divisions
     for s in subsets:
         if len(s) >= 2:
             total = _divide_linear(total, s, valid)
             valid -= 1
-    # ...then the unit parts 1/u(z_S)
-    assert valid == z_order + n
-    for s in subsets:
-        factor = _substitute(unit_inv_list, powers[s], valid)
-        total = exp_mul_dict(total, factor, valid)
+    assert valid == cap
 
-    # finally the monomial shift by prod z_i^{-1}
+    # finally the monomial shift by prod z_i^{-1}; the last division left
+    # total degree <= cap, so every shifted key lies within z_order
     shifted = {}
     for key, v in total.items():
         nk = tuple(e - 1 for e in key)
-        if sum(nk) <= z_order:
-            if min(nk) < -1:
-                raise InvalidSeries(
-                    f"assembled N-point series has exponent < -1 at {nk}"
-                )
-            shifted[nk] = v
+        if min(nk) < -1:
+            raise InvalidSeries(
+                f"assembled N-point series has exponent < -1 at {nk}"
+            )
+        shifted[nk] = v
     return MultiZPoly(n, z_order, shifted)
 
 

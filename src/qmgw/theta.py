@@ -180,14 +180,6 @@ def log_theta_deriv(m, z_order):
     return PowerSeries("z", coeffs, -m)
 
 
-def theta_z_derivative(m, z_order):
-    """Theta^{(m)}(z) to order z_order (power series; termwise derivative)."""
-    out = prime_form(z_order + m)
-    for _ in range(m):
-        out = out.derive(D_DS)
-    return out.truncate(z_order)
-
-
 def onepoint_qm(g, z_order=None):
     """[z^{2g-1}] of 1/Theta: the genus-g one-point function, weight 2g."""
     if z_order is None:

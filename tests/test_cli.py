@@ -117,6 +117,18 @@ class TestGwCommands:
         )
 
     @pytest.mark.parametrize(
+        "legs, psi, position", [("2", "0,,1", 2), ("1", "0,", 2)]
+    )
+    def test_empty_psi_entry_exit_2(self, legs, psi, position, capsys):
+        code, out = run_cli(
+            ["gw", "npoint", "--legs", legs, "--psi", psi, "--no-cache"]
+        )
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: psi-power entry {position} is empty\n"
+        )
+
+    @pytest.mark.parametrize(
         "genus, psi", [("5", "0"), ("1", "2"), ("0", "0"), ("0", None), ("-1", "-2")]
     )
     def test_onepoint_psi_must_match_genus_exit_2(self, genus, psi, capsys):

@@ -83,12 +83,10 @@ class TestThreeFourPoint:
         conn = connected_stationary((0, 0, 0))
         assert conn == divisor_derivative(C2, 2)
 
-    @pytest.mark.slow
     def test_four_point_divisor_equation(self):
         conn = connected_stationary((0, 0, 0, 0))
         assert conn == divisor_derivative(C2, 3)
 
-    @pytest.mark.slow
     def test_four_point_symmetry(self):
         assert npoint(4, 2).is_symmetric()
 
@@ -170,7 +168,6 @@ class TestAnomalyMergeIdentity:
     def test_three_point(self):
         assert _anomaly_merge_residuals(3, 4) == []
 
-    @pytest.mark.slow
     def test_four_point(self):
         assert _anomaly_merge_residuals(4, 2) == []
 
@@ -245,3 +242,10 @@ class TestMultiZPoly:
     def test_zero_values_dropped(self):
         p = MultiZPoly(1, 2, {(0,): QMPolynomial.zero()})
         assert not p.data
+
+    def test_cached_series_is_read_only(self):
+        before = npoint(2, 2).coefficient((1, 1))
+        with pytest.raises(TypeError):
+            npoint(2, 2).data[(1, 1)] = QMPolynomial.constant(ONE)
+        assert npoint(2, 2).coefficient((1, 1)) == before
+        assert before.terms

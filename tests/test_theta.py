@@ -14,7 +14,6 @@ from qmgw.theta import (
     prime_form,
     prime_form_exponential,
     sigma_tilde,
-    theta_z_derivative,
     weierstrass_a,
 )
 
@@ -151,7 +150,7 @@ class TestLogThetaDeriv:
     def test_theta_derivative_against_ratio(self):
         # Theta' = (dlog Theta) * Theta
         theta = prime_form(9)
-        lhs = theta_z_derivative(1, 8)
+        lhs = theta.derive(D_DS)
         rhs = log_theta_deriv(1, 8) * theta
         for n in range(0, 7):
             assert lhs.coefficient(n) == rhs.coefficient(n)
