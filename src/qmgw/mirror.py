@@ -211,15 +211,27 @@ def revert_series(f):
     """Compositional inverse g of f = x + O(x^2), by Lagrange inversion:
 
         [q^k] g = (1/k) [x^(k-1)] (x/f)^k.
+
+    With h = x/f (h_0 = 1), each power p = h^k is read only up to x^(k-1),
+    from Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+
+        p_0 = 1,  p_m = (1/m) sum_{i=1}^{m} ((k+1) i - m) h_i p_{m-i},
+
+    so power k costs about k^2/2 coefficient products, n^3/6 in all.
     """
     if f.start or f.coefficient(0) or f.coefficient(1) != ONE:
         raise InvalidSeries("reversion needs f = x + O(x^2)")
-    x_over_f = PowerSeries(f.var, f.coeffs[1:]).reciprocal()
+    h = PowerSeries(f.var, f.coeffs[1:]).reciprocal().coeffs
     g = [ZERO]
-    power = x_over_f
     for k in range(1, f.order + 1):
-        g.append(power.coefficient(k - 1) / k)
-        power = power * x_over_f
+        p = [ONE]
+        for m in range(1, k):
+            acc = ZERO
+            for i in range(1, m + 1):
+                if h[i]:
+                    acc += ((k + 1) * i - m) * h[i] * p[m - i]
+            p.append(acc / m)
+        g.append(p[k - 1] / k)
     return PowerSeries(f.var, g)
 
 

@@ -18,7 +18,7 @@ from types import MappingProxyType
 from ._backend import add_into, conv_trunc, exp_mul_dict
 from .errors import InsufficientOrder, InvalidSeries, NotQuasiModular
 from .rational import ONE, ZERO, rat
-from .series import _SCALARS, THETA_Q, PowerSeries
+from .series import _SCALARS, THETA_Q, PowerSeries, powers_upto
 
 
 @lru_cache(maxsize=None)
@@ -264,30 +264,26 @@ def qm_eval(p, order, gens=None):
     By default the Eisenstein q-expansions at the given order; passing
     `gens = (g2, g4, g6)` reuses the same substitution machinery for other
     frames (the Cayley images in s, for instance).
+
+    Each generator's powers are built once per call, up to the largest
+    exponent p uses, gen^e as gen^(e-1) * gen: one product per new power.
+    Each term then costs one product per generator in it.
     """
     if gens is None:
         gens = (eisenstein(2, order), eisenstein(4, order), eisenstein(6, order))
-    g2, g4, g6 = gens
-    var = g2.var
+    var = gens[0].var
     out = PowerSeries.zero(var, order)
     if not p.terms:
         return out
-    pow_cache = {}
-
-    def power(gen, tag, e):
-        key = (tag, e)
-        if key not in pow_cache:
-            pow_cache[key] = gen ** e
-        return pow_cache[key]
-
-    for (a, b, c), v in p.sorted_terms():
+    powers = [
+        powers_upto(gen, max(key[slot] for key in p.terms))
+        for slot, gen in enumerate(gens)
+    ]
+    for key, v in p.sorted_terms():
         term = PowerSeries.constant(var, v, order)
-        if a:
-            term = term * power(g2, 2, a)
-        if b:
-            term = term * power(g4, 4, b)
-        if c:
-            term = term * power(g6, 6, c)
+        for chain, e in zip(powers, key):
+            if e:
+                term = term * chain[e]
         out = out + term
     return out
 

@@ -1,19 +1,11 @@
 """Exact rational scalars.
 
-gmpy2.mpq is used when available (identical semantics, much faster);
-fractions.Fraction is the fallback.  Both keep values reduced with a
-positive denominator.  Everything else in the package builds rationals
-through :func:`rat` so the backend choice stays localized here.
+Every rational is a ``fractions.Fraction``, kept reduced with a positive
+denominator.  Everything else in the package builds rationals through
+:func:`rat`, so the scalar type is named only here.
 """
 
-try:
-    from gmpy2 import mpq as Rational
-
-    GMPY2 = True
-except ImportError:  # pragma: no cover - depends on environment
-    from fractions import Fraction as Rational
-
-    GMPY2 = False
+from fractions import Fraction as Rational
 
 ZERO = Rational(0)
 ONE = Rational(1)

@@ -39,6 +39,17 @@ def _check_tag(var):
         raise InvalidSeries(f"unknown variable tag {var!r}")
 
 
+def powers_upto(x, top):
+    """[x^0, x^1, ..., x^top] for a series or generator polynomial x.
+
+    Each power past x^1 is one product of the one below it and x.
+    """
+    out = [x ** 0, x]
+    while len(out) <= top:
+        out.append(out[-1] * x)
+    return out[: top + 1]
+
+
 class PowerSeries:
     """Σ_{n=start}^{order} c_n var^n + O(var^(order+1))."""
 
@@ -284,7 +295,12 @@ class PowerSeries:
     def compose(self, inner):
         """self(inner); inner must have zero constant term.
 
-        The result lives in inner's variable at the common truncation.
+        The result lives in inner's variable at the common truncation n.
+        Horner's scheme from the top coefficient down: step k,
+        h_k = a_k + h_{k+1} * inner, ends up multiplied by inner^k, whose
+        valuation is at least k, so only its coefficients up to n - k are
+        formed.  That is one product of order n - k - 1 with inner/var per
+        step, about n^3/6 coefficient products in all.
         """
         if not isinstance(inner, PowerSeries):
             raise InvalidSeries("compose expects a series argument")
@@ -293,12 +309,14 @@ class PowerSeries:
         if inner.coeffs[0]:
             raise InvalidSeries("compose needs inner constant term 0")
         n = min(self.order, inner.order)
-        g = inner.truncate(n)
-        # Horner scheme from the top coefficient down.
-        result = PowerSeries.constant(g.var, self.coefficient(n), n)
+        step = [self.coeffs[n]]
+        # inner / var; its product with h_{k+1} gives h_k above the constant
+        tail = inner.coeffs[1 : n + 1]
         for k in range(n - 1, -1, -1):
-            result = result * g + self.coefficient(k)
-        return result
+            step = [self.coeffs[k]] + conv_trunc(
+                step, tail, n - k - 1, self._zero
+            )
+        return self._like(step, 0, inner.var)
 
     # -- calculus ----------------------------------------------------------
     def derive(self, mode):

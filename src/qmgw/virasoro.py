@@ -24,6 +24,7 @@ Polynomials are dicts mapping monomials (sorted tuples of ((sector,
 level), exponent)) to rationals; the monomial 1 is ().
 """
 
+from functools import lru_cache
 from math import factorial, lcm
 from types import MappingProxyType
 
@@ -101,16 +102,20 @@ class DiffOperator:
 
     Built from (key, coeff) pairs, summed per key.  Acts linearly on the
     polynomial ring; first-order, so commutators stay inside the class.
-    `apply` reads them through the index `_by_dst`: {dst: [(src, c)]}.
+    `apply` reads them through the read-only index `_by_dst`:
+    {dst: ((src, c), ...)}, so a cached operator cannot be changed.
     """
 
     __slots__ = ("terms", "_by_dst")
 
     def __init__(self, pairs):
         self.terms = MappingProxyType(add_into({}, pairs))
-        self._by_dst = {}
+        by_dst = {}
         for (src, dst), c in self.terms.items():
-            self._by_dst.setdefault(dst, []).append((src, c))
+            by_dst.setdefault(dst, []).append((src, c))
+        self._by_dst = MappingProxyType(
+            {dst: tuple(row) for dst, row in by_dst.items()}
+        )
 
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
@@ -153,8 +158,12 @@ class DiffOperator:
         return DiffOperator(out)
 
 
+@lru_cache(maxsize=None)
 def virasoro_op(theory, k, level_cap):
-    """The Virasoro operator of the theory, truncated to levels <= cap."""
+    """The Virasoro operator of the theory, truncated to levels <= cap.
+
+    Built once per (theory, k, cap); the cached operator is read-only.
+    """
     if theory not in THEORIES:
         raise InvalidSeries(f"unknown theory {theory!r}")
     if k < -1:

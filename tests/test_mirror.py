@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qmgw.errors import InsufficientOrder, InvalidSeries
@@ -148,6 +150,27 @@ class TestMirrorMap:
             h = q - (f.compose(h) - h)
         assert g == h
         assert f.compose(g) == q
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reversion_matches_full_products(self, seed):
+        # revert_series reads (x/f)^k by Miller's recurrence, to x^(k-1)
+        rng = random.Random(seed)
+        order = rng.randint(1, 20)
+        tail = [
+            rat(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.8
+            else ZERO
+            for _ in range(order - 1)
+        ]
+        f = PowerSeries("q", [ZERO, ONE] + tail)
+        x_over_f = PowerSeries("q", f.coeffs[1:]).reciprocal()
+        want = [ZERO]
+        power = x_over_f
+        for k in range(1, order + 1):
+            want.append(power.coefficient(k - 1) / k)
+            power = power * x_over_f
+        got = revert_series(f)
+        assert (got.start, got.order) == (0, order)
+        assert list(got.coeffs) == want
 
     def test_reversion_requires_normalized_input(self):
         with pytest.raises(InvalidSeries):

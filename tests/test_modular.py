@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmgw import modular
+from qmgw.cayley import cayley_frame, cayley_transform
 from qmgw.errors import InsufficientOrder, InvalidSeries, NotQuasiModular
 from qmgw.modular import (
     E2,
@@ -162,6 +163,45 @@ class TestQMPolynomial:
     def test_qm_eval_ramanujan_identity(self):
         lhs = qm_eval(E2 * E2 - 12 * ramanujan_derive(E2), 10)
         assert lhs == eisenstein(4, 10)
+
+
+def eval_by_repeated_squaring(p, order, gens):
+    """qm_eval's formula term by term, each gen ** e built anew."""
+    var = gens[0].var
+    out = PowerSeries.zero(var, order)
+    for key, v in p.sorted_terms():
+        term = PowerSeries.constant(var, v, order)
+        for gen, e in zip(gens, key):
+            if e:
+                term = term * gen ** e
+        out = out + term
+    return out
+
+
+class TestQmEvalPowers:
+    """qm_eval builds gen^e as gen^(e-1) * gen; pinned to gen ** e."""
+
+    @pytest.mark.parametrize("frame", ["eisenstein", "cayley"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_repeated_squaring(self, frame, seed):
+        rng = random.Random(seed)
+        terms = {}
+        for _ in range(rng.randint(2, 6)):
+            key = (rng.randint(0, 13), rng.randint(0, 6), rng.randint(0, 4))
+            terms[key] = rat(rng.randint(-30, 30), rng.randint(1, 12))
+        terms[(rng.randint(8, 13), rng.randint(0, 2), rng.randint(0, 2))] = ONE
+        p = QMPolynomial(terms)
+        if frame == "eisenstein":
+            order = rng.randint(0, 24)
+            gens = tuple(eisenstein(k, order) for k in (2, 4, 6))
+            got = qm_eval(p, order)
+        else:
+            order = rng.randint(0, 32)
+            gens = tuple(g.truncate(order) for g in cayley_frame(32).gens())
+            got = cayley_transform(p, cayley_frame(32), order)
+        want = eval_by_repeated_squaring(p, order, gens)
+        assert (got.var, got.start, got.order) == (want.var, 0, order)
+        assert got.coeffs == want.coeffs
 
 
 class TestRamanujanDerive:

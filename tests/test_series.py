@@ -138,6 +138,23 @@ class TestCompose:
             power = power * inner
         assert f.compose(inner) == expected
 
+    @given(
+        st.sampled_from("qs"),
+        st.integers(0, 12).flatmap(coeff_lists),
+        st.integers(0, 12).flatmap(coeff_lists),
+    )
+    def test_matches_untruncated_horner(self, var, outer, inner):
+        # compose carries Horner step k to order n - k only
+        f = PowerSeries(var, outer)
+        g = PowerSeries(var, [ZERO] + inner[1:])
+        n = min(f.order, g.order)
+        want = PowerSeries.constant(var, f.coefficient(n), n)
+        for k in range(n - 1, -1, -1):
+            want = want * g.truncate(n) + f.coefficient(k)
+        got = f.compose(g)
+        assert (got.var, got.start, got.order) == (var, 0, n)
+        assert got.coeffs == want.coeffs
+
     def test_compose_retags_to_inner_variable(self):
         f = series("x", 1, 2, 3)
         g = series("q", 0, 1, 1)

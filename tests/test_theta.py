@@ -1,12 +1,16 @@
+from math import factorial
+
 import pytest
 
 from qmgw import modular, theta
+from qmgw.cayley import cayley_frame
 from qmgw.errors import InvalidSeries, NotQuasiModular
-from qmgw.modular import E2, E4, QMPolynomial, qm_eval, quasimodularize
+from qmgw.modular import E2, E4, E6, QMPolynomial, qm_eval, quasimodularize
 from qmgw.rational import ONE, rat
 from qmgw.series import D_DS, PowerSeries
 from qmgw.theta import (
     b_table,
+    b_table_onepoint,
     log_theta_deriv,
     one_over_theta,
     onepoint_from_b,
@@ -185,6 +189,34 @@ class TestOnePointTower:
         series = qm_eval(onepoint_qm(1), 6)
         assert series.coefficient(0) == rat(-1, 24)
         assert series.coefficient(1) == ONE
+
+    @pytest.mark.parametrize("ring", ["generators", "cayley"])
+    def test_b_sum_matches_power_formula(self, ring):
+        # b_table_onepoint builds each power once; the formula takes ** anew
+        if ring == "generators":
+            images = (E2 * rat(-1, 24), E4 * rat(1, 24), E6 * rat(-1, 108))
+        else:
+            frame = cayley_frame(32)
+            images = (
+                frame.e2 * rat(-1, 24),
+                frame.e4 * rat(1, 24),
+                frame.e6 * rat(-1, 108),
+            )
+        c2, c4, c6 = images
+        for g in range(1, 14):
+            table = b_table(2 * g)
+            want = None
+            for (m, n), b in table.items():
+                l = g - 2 * m - 3 * n
+                if l < 0 or not b:
+                    continue
+                term = (b / factorial(l)) * ((c2 ** l) * (c4 ** m) * (c6 ** n))
+                want = term if want is None else want + term
+            got = b_table_onepoint(g, images)
+            assert got == want, g
+            if ring == "cayley":
+                assert (got.start, got.order) == (want.start, 32)
+                assert got.coeffs == want.coeffs
 
 
 class TestZLaurent:

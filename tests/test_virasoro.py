@@ -185,6 +185,19 @@ class TestDiffOperatorAlgebra:
                     )
                     assert op.apply(product) == want, (k, x, y)
 
+    def test_cached_operator_is_read_only(self):
+        op = virasoro_op("curve", 1, 6)
+        assert virasoro_op("curve", 1, 6) is op
+        term = next(iter(op.terms))
+        dst = next(iter(op._by_dst))
+        with pytest.raises(TypeError):
+            op.terms[term] = ONE
+        with pytest.raises(TypeError):
+            op._by_dst[dst] = ()
+        with pytest.raises(AttributeError):
+            op._by_dst[dst].append(((), ONE))
+        assert op == virasoro_op.__wrapped__("curve", 1, 6)
+
     def test_action_linearity(self):
         op = virasoro_op("curve", 1, 6)
         p = poly_var(0, 3)
