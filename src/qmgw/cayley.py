@@ -107,7 +107,11 @@ def cayley_frame(order, theta_1_3=THETA_1_3):
 
 
 def cayley_transform(p, frame, order=None):
-    """Substitute the frame images for the generators of a QMPolynomial."""
+    """Substitute the frame images for the generators of a QMPolynomial.
+
+    Through `qm_eval`: Horner in CE2 over cached CE4^b CE6^c columns, one
+    product per column not cached yet and one per Horner step.
+    """
     if order is None:
         order = frame.order
     if order > frame.order:

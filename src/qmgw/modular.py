@@ -18,7 +18,7 @@ from types import MappingProxyType
 from ._backend import add_into, conv_trunc, exp_mul_dict
 from .errors import InsufficientOrder, InvalidSeries, NotQuasiModular
 from .rational import ONE, ZERO, rat
-from .series import _SCALARS, THETA_Q, PowerSeries, powers_upto
+from .series import _SCALARS, THETA_Q, PowerSeries, horner_eval
 
 
 @lru_cache(maxsize=None)
@@ -265,27 +265,18 @@ def qm_eval(p, order, gens=None):
     `gens = (g2, g4, g6)` reuses the same substitution machinery for other
     frames (the Cayley images in s, for instance).
 
-    Each generator's powers are built once per call, up to the largest
-    exponent p uses, gen^e as gen^(e-1) * gen: one product per new power.
-    Each term then costs one product per generator in it.
+    `series.horner_eval` does the substituting: Horner in E2 over the
+    columns E4^b E6^c, which are cached across calls per generator pair.
+    The cost is one product per column not cached yet and one per Horner
+    step, that is per unit of p's largest E2 exponent.
     """
     if gens is None:
         gens = (eisenstein(2, order), eisenstein(4, order), eisenstein(6, order))
     var = gens[0].var
-    out = PowerSeries.zero(var, order)
     if not p.terms:
-        return out
-    powers = [
-        powers_upto(gen, max(key[slot] for key in p.terms))
-        for slot, gen in enumerate(gens)
-    ]
-    for key, v in p.sorted_terms():
-        term = PowerSeries.constant(var, v, order)
-        for chain, e in zip(powers, key):
-            if e:
-                term = term * chain[e]
-        out = out + term
-    return out
+        return PowerSeries.zero(var, order)
+    one = PowerSeries.one(var, order)
+    return horner_eval(p.terms, gens, one).truncate(order)
 
 
 @lru_cache(maxsize=None)

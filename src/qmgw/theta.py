@@ -26,7 +26,7 @@ from types import MappingProxyType
 from .errors import InconsistentTables, InvalidSeries
 from .modular import E2, E4, E6, QMPolynomial, bernoulli, reduce_e2k
 from .rational import ONE, ZERO, rat
-from .series import D_DS, PowerSeries, powers_upto
+from .series import D_DS, PowerSeries, horner_eval
 
 QM_ZERO = QMPolynomial.zero()
 QM_ONE = QMPolynomial.constant(ONE)
@@ -195,29 +195,16 @@ def b_table_onepoint(g, images):
     where images = (c2, c4, c6) are the images of -E2/24, E4/24, -E6/108;
     it reads the entries with 4m + 6n <= 2g only.
 
-    The powers c2^0..c2^g, c4^0..c4^(g//2) and c6^0..c6^(g//3) are built
-    once per call, each new one as one product of the one below it and its
-    image; a term multiplies only the powers with a nonzero exponent.
+    `series.horner_eval` sums it by Horner in c2 over the columns
+    c4^m c6^n, which are cached across calls per image pair: one product
+    per column not cached yet and g Horner steps.
     """
-    table = b_table(2 * g)
-    tops = (g, g // 2, g // 3)
-    powers = [powers_upto(c, top) for c, top in zip(images, tops)]
-    out = None
-    for m in range(g // 2 + 1):
-        for n in range(g // 3 + 1):
-            if 2 * m + 3 * n > g:
-                continue
-            l = g - 2 * m - 3 * n
-            b = table.get((m, n), ZERO)
-            if not b:
-                continue
-            mono = None
-            for chain, e in zip(powers, (l, m, n)):
-                if e:
-                    mono = chain[e] if mono is None else mono * chain[e]
-            term = (b / factorial(l)) * (powers[0][0] if mono is None else mono)
-            out = term if out is None else out + term
-    return out
+    terms = {}
+    for (m, n), b in b_table(2 * g).items():
+        l = g - 2 * m - 3 * n
+        if b:
+            terms[(l, m, n)] = b / factorial(l)
+    return horner_eval(terms, images, images[0] ** 0)
 
 
 def onepoint_from_b(g):

@@ -220,6 +220,19 @@ class TestVerifyCommand:
         assert "verify: PASS" in out
         assert "PASS  E2 satisfies the q-frame equation" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chazy", "--s-order", "3"],
+            ["prime-form", "--z-order", "3"],
+            ["prime-form", "--z-order", "4"],
+        ],
+    )
+    def test_passes_at_the_minimum_orders(self, argv):
+        code, out = run_cli(["verify"] + argv + ["--no-cache"])
+        assert code == 0, out
+        assert out.endswith("verify: PASS\n")
+
     def test_unknown_suite(self, capsys):
         code, out = run_cli(["verify", "nonsense", "--no-cache"])
         assert code == 2 and out == ""

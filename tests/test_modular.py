@@ -179,7 +179,7 @@ def eval_by_repeated_squaring(p, order, gens):
 
 
 class TestQmEvalPowers:
-    """qm_eval builds gen^e as gen^(e-1) * gen; pinned to gen ** e."""
+    """qm_eval runs Horner over cached columns; pinned to gen ** e."""
 
     @pytest.mark.parametrize("frame", ["eisenstein", "cayley"])
     @pytest.mark.parametrize("seed", range(6))

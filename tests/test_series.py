@@ -1,11 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import coeff_lists
-from qmgw.errors import InvalidSeries, VariableMismatch
+from qmgw import series as series_module
+from qmgw.errors import InsufficientOrder, InvalidSeries, VariableMismatch
 from qmgw.rational import ONE, ZERO, Rational, rat
-from qmgw.series import D_DS, THETA_Q, PowerSeries
+from qmgw.series import D_DS, THETA_Q, PowerSeries, horner_eval
 
 
 def series(var, *coeffs):
@@ -186,6 +189,137 @@ class TestDerive:
         quotient = num.divide(den)
         assert quotient == series("q", 2, 2, 2)
         assert (quotient * den.truncate(2)).coeffs == num.truncate(2).coeffs
+
+
+class TestCoefficient:
+    def test_below_start_is_zero(self):
+        f = PowerSeries("z", [rat(2), rat(1)], 3)
+        assert f.coefficient(2) == ZERO and f.coefficient(-5) == ZERO
+        assert f.coefficient(3) == 2 and f.coefficient(4) == 1
+
+    def test_past_order_is_unknown(self):
+        f = series("q", 1, 2, 3)
+        with pytest.raises(InsufficientOrder) as err:
+            f.coefficient(3)
+        assert err.value.required == 3
+        assert "known to order 2" in str(err.value)
+
+
+def horner_by_powers(terms, gens, one):
+    """The substituted sum term by term, each x ** e built anew."""
+    out = None
+    for key, v in sorted(terms.items()):
+        term = one * v
+        for x, e in zip(gens, key):
+            if e:
+                term = term * x ** e
+        out = term if out is None else out + term
+    return out
+
+
+def random_terms(rng, top=9):
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        key = (rng.randint(0, top), rng.randint(0, 5), rng.randint(0, 4))
+        terms[key] = rat(rng.randint(-30, 30), rng.randint(1, 12))
+    # an E2 exponent with empty rows below it
+    terms[(top, rng.randint(0, 2), rng.randint(0, 2))] = ONE
+    return terms
+
+
+def random_gens(rng, var, order, start=0):
+    return tuple(
+        PowerSeries(
+            var,
+            [rat(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(order + 1)],
+            start,
+        )
+        for _ in range(3)
+    )
+
+
+class TestHornerEval:
+    """Horner in x2 over cached x4^b x6^c columns."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_term_by_term_powers(self, seed):
+        rng = random.Random(seed)
+        terms = random_terms(rng)
+        gens = random_gens(rng, "s", rng.randint(0, 12))
+        one = PowerSeries.one("s", gens[0].order)
+        got = horner_eval(terms, gens, one)
+        want = horner_by_powers(terms, gens, one)
+        assert (got.start, got.order, got.coeffs) == (
+            want.start, want.order, want.coeffs,
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generators_give_the_polynomial_back(self, seed):
+        from qmgw.modular import E2, E4, E6, QMPolynomial
+
+        p = QMPolynomial(random_terms(random.Random(seed)))
+        got = horner_eval(p.terms, (E2, E4, E6), QMPolynomial.constant(ONE))
+        assert got == p
+
+    def test_no_terms(self):
+        assert horner_eval({}, random_gens(random.Random(0), "q", 3), None) is None
+
+    @pytest.mark.parametrize("shift", ["start", "order"])
+    def test_columns_are_keyed_exactly(self, shift):
+        # a shifted start is equal under ==; neither may reuse a column
+        rng = random.Random(7)
+        x2, x4, x6 = random_gens(rng, "q", 6)
+        if shift == "start":
+            y4 = PowerSeries("q", (ZERO,) + x4.coeffs, -1)
+            assert y4 == x4 and hash(y4) == hash(x4)
+            y6 = x6
+        else:
+            y4, y6 = x4.truncate(4), x6.truncate(3)
+        terms = {(1, 2, 1): ONE, (0, 3, 0): rat(2), (0, 0, 2): rat(-1)}
+        one = PowerSeries.one("q", 6)
+        triples = [(x2, x4, x6), (x2, y4, y6)] * 2
+        warm = [horner_eval(terms, gens, one) for gens in triples]
+        assert (warm[0].start, warm[0].order) != (warm[1].start, warm[1].order)
+        for gens, got in zip(triples, warm):
+            series_module._column.cache_clear()
+            cold = horner_eval(terms, gens, one)
+            assert (got.start, got.order, got.coeffs) == (
+                cold.start, cold.order, cold.coeffs,
+            )
+
+    def test_cached_columns_are_read_only(self):
+        from qmgw.modular import E4, E6
+
+        rng = random.Random(3)
+        _, x4, x6 = random_gens(rng, "q", 5)
+        col = series_module._column(series_module._GeneratorPair(x4, x6), 2, 1)
+        assert col == x4 * x4 * x6
+        with pytest.raises(TypeError):
+            col.coeffs[0] = ONE
+        col = series_module._column(series_module._GeneratorPair(E4, E6), 1, 2)
+        assert col.terms == {(0, 1, 2): ONE}
+        with pytest.raises(TypeError):
+            col.terms[(0, 0, 0)] = ONE
+
+    def test_same_result_after_cache_clear(self):
+        from qmgw.cayley import cayley_frame, cayley_transform
+        from qmgw.modular import QMPolynomial, qm_eval
+        from qmgw.theta import onepoint_from_b
+
+        rng = random.Random(11)
+        p = QMPolynomial(random_terms(rng, top=7))
+        frame = cayley_frame(16)
+
+        def values():
+            q, s = qm_eval(p, 20), cayley_transform(p, frame)
+            return [(f.start, f.order, f.coeffs) for f in (q, s)], onepoint_from_b(9)
+
+        warm = values()
+        assert warm == values()
+        series_module._column.cache_clear()
+        cold = values()
+        assert series_module._column.cache_info().misses > 0
+        assert cold == warm
 
 
 class TestLaurent:
