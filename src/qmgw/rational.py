@@ -20,6 +20,22 @@ def rat(num, den=1):
     return Rational(num, den)
 
 
+def numerators(values):
+    """The numerators of `values` if each is a Fraction with denominator 1,
+    else None."""
+    out = []
+    for x in values:
+        if type(x) is not Rational or x.denominator != 1:
+            return None
+        out.append(x.numerator)
+    return out
+
+
+def from_ints(values):
+    """Each int of `values` as a Fraction: a denominator of 1 needs no gcd."""
+    return [Rational(n) for n in values]
+
+
 def rat_str(x):
     """Canonical 'numerator/denominator' form, denominator always explicit."""
     x = Rational(x)

@@ -15,6 +15,15 @@ known to the smaller of the two orders, and a product to
 tags are enforced at runtime so q-frame and s-frame objects cannot be
 mixed by accident.
 
+Integral series multiply over ZZ.  When both factors are series over Q
+(both zeros are the rational zero) and every coefficient of both has
+denominator 1, as for E2, E4, E6, the Euler product and the theta
+quotients, a product convolves the integer numerators and wraps each
+result once as a Fraction, with no gcd; so does the reciprocal of such a
+series whose first coefficient is +1 or -1.  The rule looks only at the
+operands' own coefficients: any other pair takes the Fraction path, with
+the same result.
+
 Values are immutable after construction and safe to share across threads.
 """
 
@@ -22,7 +31,7 @@ from functools import lru_cache
 from numbers import Number
 
 from .errors import InsufficientOrder, InvalidSeries, VariableMismatch
-from .rational import ONE, ZERO, rat
+from .rational import ONE, ZERO, from_ints, numerators, rat
 from ._backend import conv_trunc
 
 VARIABLES = ("q", "s", "t", "x", "z")
@@ -65,6 +74,12 @@ def horner_eval(terms, gens, one):
             term = (_column(pair, b, c) if b or c else one) * v
             out = term if out is None else out + term
     return out
+
+
+def _int_coeffs(f):
+    """f's coefficients as ints, if f is over Q (its zero is the rational
+    ZERO) and each is an integer; else None."""
+    return numerators(f.coeffs) if f._zero is ZERO else None
 
 
 class _GeneratorPair:
@@ -260,6 +275,12 @@ class PowerSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product with a scalar or a series in the same variable.
+
+        Two series over Q whose coefficients are all integers are
+        convolved over ZZ, each result coefficient wrapped once; any other
+        pair over its coefficients' own ring.
+        """
         if not isinstance(other, PowerSeries):
             if isinstance(other, _SCALARS):
                 other = rat(other)
@@ -267,10 +288,13 @@ class PowerSeries:
         self._check_var(other)
         start = self.start + other.start
         order = min(self.order + other.start, other.order + self.start)
-        return self._like(
-            conv_trunc(self.coeffs, other.coeffs, order - start, self._zero),
-            start,
-        )
+        a = _int_coeffs(self)
+        b = None if a is None else _int_coeffs(other)
+        if b is None:
+            out = conv_trunc(self.coeffs, other.coeffs, order - start, self._zero)
+        else:
+            out = from_ints(conv_trunc(a, b, order - start, 0))
+        return self._like(out, start)
 
     __rmul__ = __mul__
 
@@ -283,7 +307,8 @@ class PowerSeries:
         if k < 0:
             return self.reciprocal() ** (-k)
         if k == 0:
-            return PowerSeries.one(self.var, self.order)
+            # the unit of the series' own ring
+            return self._like([self._zero + 1] + [self._zero] * self.order, 0)
         result = None
         base = self
         while True:
@@ -298,14 +323,20 @@ class PowerSeries:
     def reciprocal(self):
         """1/self; the coefficient at the start exponent must be a unit.
 
-        The result starts at -start and is known to order - 2*start.
+        The result starts at -start and is known to order - 2*start.  An
+        integral series over Q whose first coefficient is +1 or -1 has an
+        integral reciprocal: the recurrence then runs on ints, and each
+        result coefficient is wrapped once.
         """
         a = self.coeffs
         if not a[0]:
             raise InvalidSeries("reciprocal needs a unit leading coefficient")
-        inv0 = ONE / a[0]
+        ints = _int_coeffs(self)
+        if ints is not None and ints[0] in (1, -1):
+            a, inv0, zero = ints, ints[0], 0
+        else:
+            ints, inv0, zero = None, ONE / a[0], self._zero
         n = len(a) - 1
-        zero = self._zero
         out = [zero] * (n + 1)
         out[0] = inv0
         for k in range(1, n + 1):
@@ -315,7 +346,7 @@ class PowerSeries:
                 if ai:
                     acc = acc + ai * out[k - i]
             out[k] = -inv0 * acc
-        return self._like(out, -self.start)
+        return self._like(out if ints is None else from_ints(out), -self.start)
 
     def exp(self):
         """exp(self); requires zero constant term."""

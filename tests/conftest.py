@@ -24,3 +24,10 @@ def coeff_lists(order, **kw):
     return st.lists(
         rationals(**kw), min_size=order + 1, max_size=order + 1
     )
+
+
+def rational_or_integral_lists(order):
+    """Coefficient lists, every entry an integer in half of the draws: with
+    max_den=8 an all-integral list of length 7 comes up once in about 1,500.
+    """
+    return st.one_of(coeff_lists(order), coeff_lists(order, max_den=1))

@@ -4,19 +4,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import coeff_lists
+from conftest import coeff_lists, rational_or_integral_lists
 from qmgw import series as series_module
 from qmgw.errors import InsufficientOrder, InvalidSeries, VariableMismatch
 from qmgw.rational import ONE, ZERO, Rational, rat
 from qmgw.series import D_DS, THETA_Q, PowerSeries, horner_eval
+from qmgw._backend import conv_trunc
 
 
 def series(var, *coeffs):
     return PowerSeries(var, [rat(c) for c in coeffs])
 
 
-def q_series(order):
-    return coeff_lists(order).map(lambda cs: PowerSeries("q", cs))
+def q_series(order, lists=coeff_lists):
+    return lists(order).map(lambda cs: PowerSeries("q", cs))
 
 
 class TestRat:
@@ -61,7 +62,11 @@ class TestMul:
         b = PowerSeries.one("q", 4)
         assert (a * b).order == 4
 
-    @given(q_series(6), q_series(6), q_series(6))
+    @given(
+        q_series(6, rational_or_integral_lists),
+        q_series(6, rational_or_integral_lists),
+        q_series(6, rational_or_integral_lists),
+    )
     def test_ring_axioms(self, a, b, c):
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
@@ -120,9 +125,9 @@ class TestInverseAndTranscendental:
         h = PowerSeries("q", [ONE] + list(f.coeffs[1:]))
         assert h.log().exp() == h
 
-    @given(q_series(7))
-    def test_reciprocal_is_inverse(self, f):
-        g = PowerSeries("q", [ONE] + list(f.coeffs[1:]))
+    @given(q_series(7, rational_or_integral_lists), st.sampled_from([ONE, -ONE]))
+    def test_reciprocal_is_inverse(self, f, unit):
+        g = PowerSeries("q", [unit] + list(f.coeffs[1:]))
         assert g * g.reciprocal() == PowerSeries.one("q", 7)
 
 
@@ -189,6 +194,106 @@ class TestDerive:
         quotient = num.divide(den)
         assert quotient == series("q", 2, 2, 2)
         assert (quotient * den.truncate(2)).coeffs == num.truncate(2).coeffs
+
+
+def reference_product(f, g):
+    """f * g term by term over Fraction: (coeffs, start, order)."""
+    start = f.start + g.start
+    order = min(f.order + g.start, g.order + f.start)
+    out = [Rational(0)] * (order - start + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            if i + j < len(out):
+                out[i + j] += a * b
+    return tuple(out), start, order
+
+
+def reference_reciprocal(f):
+    """1/f by its defining recurrence over Fraction: (coeffs, start, order)."""
+    a = f.coeffs
+    out = [1 / a[0]]
+    for k in range(1, len(a)):
+        acc = sum((a[i] * out[k - i] for i in range(1, k + 1)), Rational(0))
+        out.append(-acc / a[0])
+    return tuple(out), -f.start, f.order - 2 * f.start
+
+
+def integral_grid(seed):
+    """Seeded z-series: integral ones (zero and negative entries, some with
+    a +-1 constant), rational ones, and integral ones whose last coefficient
+    alone is not; unequal orders and Laurent starts -3..3."""
+    rng = random.Random(seed)
+    out = []
+    for kind in ("integral", "unit", "rational", "last") * 4:
+        n = rng.randint(0, 12)
+        cs = [
+            rat(rng.choice((0, rng.randint(-60, -1), rng.randint(1, 60))))
+            for _ in range(n + 1)
+        ]
+        if kind == "unit":
+            cs[0] = rat(rng.choice((1, -1)))
+        elif kind == "rational":
+            cs = [rat(rng.randint(-60, 60), rng.randint(1, 9)) for _ in cs]
+        elif kind == "last":
+            cs[-1] = rat(2 * rng.randint(-30, 30) + 1, 2)
+        out.append(PowerSeries("z", cs, rng.randint(-3, 3)))
+    return out
+
+
+def is_integral(f):
+    return all(c.denominator == 1 for c in f.coeffs)
+
+
+class TestIntegralPath:
+    """Integral series over Q multiply over ZZ, with unchanged results."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_products_match_the_fraction_reference(self, seed, monkeypatch):
+        zeros = []
+
+        def recording(a, b, n, zero):
+            zeros.append(zero)
+            return conv_trunc(a, b, n, zero)
+
+        monkeypatch.setattr(series_module, "conv_trunc", recording)
+        grid = integral_grid(seed)
+        for f in grid:
+            for g in grid:
+                got = f * g
+                assert (got.coeffs, got.start, got.order) == reference_product(f, g)
+                assert all(type(c) is Rational for c in got.coeffs)
+                assert type(zeros.pop()) is (
+                    int if is_integral(f) and is_integral(g) else Rational
+                )
+        assert not zeros
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reciprocals_match_the_fraction_reference(self, seed):
+        for f in integral_grid(seed):
+            if not f.coeffs[0]:
+                continue
+            got = f.reciprocal()
+            assert (got.coeffs, got.start, got.order) == reference_reciprocal(f)
+            assert all(type(c) is Rational for c in got.coeffs)
+
+    def test_unit_constant_minus_one(self):
+        f = series("q", -1, 3, 0, -2, 5)
+        assert f.reciprocal().coeffs == reference_reciprocal(f)[0]
+        assert (f * f.reciprocal()).coeffs == (ONE, ZERO, ZERO, ZERO, ZERO)
+
+    def test_integral_times_generator_series(self):
+        from qmgw.modular import QMPolynomial
+        from qmgw.theta import prime_form
+
+        qm0 = QMPolynomial.zero()
+        f = PowerSeries("z", [rat(1), rat(-2), rat(0), rat(3), rat(1), rat(4)])
+        g = PowerSeries("z", prime_form(6).coeffs)
+        mixed = f * g  # over Q by its zero, with polynomial coefficients
+        for a, b in ((f, g), (g, f), (mixed, f), (f, mixed)):
+            want, start, order = reference_product(a, b)
+            got = a * b
+            assert (got.start, got.order) == (start, order)
+            assert [qm0 + c for c in got.coeffs] == [qm0 + c for c in want]
 
 
 class TestCoefficient:
@@ -355,10 +460,11 @@ class TestLaurent:
 
     @given(
         st.integers(min_value=-3, max_value=3),
-        coeff_lists(5),
+        rational_or_integral_lists(5),
+        st.sampled_from([ONE, -ONE]),
     )
-    def test_product_with_reciprocal_is_one(self, val, coeffs):
-        coeffs = [ONE] + list(coeffs[1:])
+    def test_product_with_reciprocal_is_one(self, val, coeffs, unit):
+        coeffs = [unit] + list(coeffs[1:])
         f = PowerSeries("z", coeffs, val)
         product = f * f.reciprocal()
         assert product.coefficient(0) == ONE
@@ -389,3 +495,13 @@ class TestGeneratorCoefficients:
     def test_log_inverts_exp(self):
         a = PowerSeries("z", [self.zero, self.e2, self.e4])
         assert a.exp().log() == a
+
+    def test_power_zero_is_the_unit_of_the_ring(self):
+        from qmgw.modular import QMPolynomial
+        from qmgw.theta import prime_form
+
+        f = PowerSeries("z", prime_form(6).coeffs)
+        unit = f ** 0
+        assert unit.coeffs == (self.one,) + (self.zero,) * f.order
+        assert all(type(c) is QMPolynomial for c in (unit * f).coeffs)
+        assert unit * f == f
