@@ -23,7 +23,7 @@ from .modular import qm_eval
 from .npoint import connected_stationary
 from .rational import ONE, ZERO, rat
 from .series import PowerSeries
-from .theta import b_table_onepoint
+from .theta import onepoint_from_b
 
 TAU_STAR_NOTE = "tau* = -(i/sqrt(3)) * exp(2*pi*i/3)  (elliptic point, not evaluated)"
 SCALE_NOTE = (
@@ -126,16 +126,13 @@ def cayley_transform(p, frame, order=None):
 def fjrw_onepoint_all_genus(g, frame):
     """One-point genus-g function from the reciprocal-sigma table:
 
-        sum_{l+2m+3n=g} (b_{m,n}/l!) (-CE2/24)^l (CE4/24)^m (-CE6/108)^n.
+        sum_{l+2m+3n=g} (b_{m,n}/l!) (-CE2/24)^l (CE4/24)^m (-CE6/108)^n,
+
+    the Cayley transform of the curve-side b-table sum `onepoint_from_b`.
     """
     if g < 1:
         raise InvalidSeries("one-point tower starts at genus 1")
-    images = (
-        frame.e2 * rat(-1, 24),
-        frame.e4 * rat(1, 24),
-        frame.e6 * rat(-1, 108),
-    )
-    return b_table_onepoint(g, images)
+    return cayley_transform(onepoint_from_b(g), frame)
 
 
 def fjrw_correlation(insertions, frame):

@@ -18,7 +18,7 @@ from types import MappingProxyType
 from ._backend import add_into, conv_trunc, exp_mul_dict
 from .errors import InsufficientOrder, InvalidSeries, NotQuasiModular
 from .rational import ONE, ZERO, rat
-from .series import _SCALARS, THETA_Q, PowerSeries, horner_eval
+from .series import _SCALARS, THETA_Q, PowerSeries
 
 
 @lru_cache(maxsize=None)
@@ -262,21 +262,62 @@ def qm_eval(p, order, gens=None):
     """Expand p by substituting series for the generators.
 
     By default the Eisenstein q-expansions at the given order; passing
-    `gens = (g2, g4, g6)` reuses the same substitution machinery for other
-    frames (the Cayley images in s, for instance).
+    `gens = (g2, g4, g6)` substitutes any other frame (the Cayley images
+    in s, for instance).  This is the one substitution routine.
 
-    `series.horner_eval` does the substituting: Horner in E2 over the
-    columns E4^b E6^c, which are cached across calls per generator pair.
-    The cost is one product per column not cached yet and one per Horner
-    step, that is per unit of p's largest E2 exponent.
+    Horner in g2 over the columns g4^b g6^c: one product per unit of
+    p's largest E2 exponent, an empty row included.  Each column is one
+    product of a cached predecessor (`_column`, shared across calls per
+    generator pair), so an evaluation also costs one product per column
+    not cached yet; scaling by a coefficient is termwise.
     """
     if gens is None:
         gens = (eisenstein(2, order), eisenstein(4, order), eisenstein(6, order))
-    var = gens[0].var
+    x2, x4, x6 = gens
     if not p.terms:
-        return PowerSeries.zero(var, order)
-    one = PowerSeries.one(var, order)
-    return horner_eval(p.terms, gens, one).truncate(order)
+        return PowerSeries.zero(x2.var, order)
+    one = PowerSeries.one(x2.var, order)
+    rows = {}
+    for (a, b, c), v in sorted(p.terms.items()):
+        rows.setdefault(a, []).append((b, c, v))
+    pair = _GeneratorPair(x4, x6)
+    out = None
+    for a in range(max(rows), -1, -1):
+        if out is not None:
+            out = out * x2
+        for b, c, v in rows.get(a, ()):
+            term = (_column(pair, b, c) if b or c else one) * v
+            out = term if out is None else out + term
+    return out.truncate(order)
+
+
+class _GeneratorPair:
+    """(g4, g6) as a cache key, hashed once and equal only to an identical
+    pair: each series is keyed by its variable, start and coefficient
+    tuple, since PowerSeries equality ignores a leading-zero shift of
+    start.
+    """
+
+    __slots__ = ("x4", "x6", "_key", "_hash")
+
+    def __init__(self, x4, x6):
+        self.x4 = x4
+        self.x6 = x6
+        self._key = tuple((x.var, x.start, x.coeffs) for x in (x4, x6))
+        self._hash = hash(self._key)
+
+    def __eq__(self, other):
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+
+@lru_cache(maxsize=None)
+def _column(pair, b, c):
+    """g4^b g6^c for (b, c) != (0, 0): (b, c-1) g6, or (b-1, 0) g4 if c = 0."""
+    prev, gen = ((b, c - 1), pair.x6) if c else ((b - 1, 0), pair.x4)
+    return _column(pair, *prev) * gen if any(prev) else gen
 
 
 @lru_cache(maxsize=None)

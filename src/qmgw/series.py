@@ -27,7 +27,6 @@ the same result.
 Values are immutable after construction and safe to share across threads.
 """
 
-from functools import lru_cache
 from numbers import Number
 
 from .errors import InsufficientOrder, InvalidSeries, VariableMismatch
@@ -49,71 +48,10 @@ def _check_tag(var):
         raise InvalidSeries(f"unknown variable tag {var!r}")
 
 
-def horner_eval(terms, gens, one):
-    """Σ v·x2^a·x4^b·x6^c over terms {(a, b, c): v}, gens = (x2, x4, x6).
-
-    The gens are series or generator polynomials, `one` the unit that
-    stands for x4^0·x6^0.  Horner in x2 over the columns x4^b·x6^c:
-    with row_a = Σ v·x4^b·x6^c, the value is
-    (..(row_A·x2 + row_(A-1))·x2 + ..)·x2 + row_0, one product per step,
-    an empty row included.  Each column is one product of a cached
-    predecessor (`_column`), so an evaluation costs one product per column
-    not cached yet and one per Horner step; scaling by v is termwise.
-    Returns None for no terms.
-    """
-    x2, x4, x6 = gens
-    rows = {}
-    for (a, b, c), v in sorted(terms.items()):
-        rows.setdefault(a, []).append((b, c, v))
-    pair = _GeneratorPair(x4, x6)
-    out = None
-    for a in range(max(rows, default=-1), -1, -1):
-        if out is not None:
-            out = out * x2
-        for b, c, v in rows.get(a, ()):
-            term = (_column(pair, b, c) if b or c else one) * v
-            out = term if out is None else out + term
-    return out
-
-
 def _int_coeffs(f):
     """f's coefficients as ints, if f is over Q (its zero is the rational
     ZERO) and each is an integer; else None."""
     return numerators(f.coeffs) if f._zero is ZERO else None
-
-
-class _GeneratorPair:
-    """(x4, x6) as a cache key, hashed once and equal only to an identical
-    pair.  A series is keyed by its variable, start and coefficient tuple,
-    since PowerSeries equality ignores a leading-zero shift of start;
-    anything else by its own (exact) equality.
-    """
-
-    __slots__ = ("x4", "x6", "_key", "_hash")
-
-    def __init__(self, x4, x6):
-        self.x4 = x4
-        self.x6 = x6
-        self._key = tuple(
-            (PowerSeries, x.var, x.start, x.coeffs)
-            if isinstance(x, PowerSeries)
-            else (type(x), x)
-            for x in (x4, x6)
-        )
-        self._hash = hash(self._key)
-
-    def __eq__(self, other):
-        return self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
-
-@lru_cache(maxsize=None)
-def _column(pair, b, c):
-    """x4^b·x6^c for (b, c) != (0, 0): (b, c-1)·x6, or (b-1, 0)·x4 if c = 0."""
-    prev, gen = ((b, c - 1), pair.x6) if c else ((b - 1, 0), pair.x4)
-    return _column(pair, *prev) * gen if any(prev) else gen
 
 
 class PowerSeries:
@@ -443,6 +381,8 @@ class PowerSeries:
     def shift(self, k):
         """Multiply by var^k (k >= 0), truncating at the same order."""
         self._require_power_series("shift")
+        if k < 0:
+            raise InvalidSeries("shift needs k >= 0")
         out = [self._zero] * k + list(self.coeffs)
         return self._like(out[: self.order + 1], 0)
 

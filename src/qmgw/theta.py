@@ -26,7 +26,7 @@ from types import MappingProxyType
 from .errors import InconsistentTables, InvalidSeries
 from .modular import E2, E4, E6, QMPolynomial, bernoulli, reduce_e2k
 from .rational import ONE, ZERO, rat
-from .series import D_DS, PowerSeries, horner_eval
+from .series import D_DS, PowerSeries
 
 QM_ZERO = QMPolynomial.zero()
 QM_ONE = QMPolynomial.constant(ONE)
@@ -187,27 +187,19 @@ def onepoint_qm(g, z_order=None):
     return one_over_theta(max(z_order, 2 * g + 1)).coefficient(2 * g - 1)
 
 
-def b_table_onepoint(g, images):
-    """The genus-g sum of the b-table in any ring:
+def onepoint_from_b(g):
+    """The genus-g one-point function from the b-table, in Q[E2, E4, E6]:
 
-        sum_{l+2m+3n=g} (b_{m,n}/l!) c2^l c4^m c6^n,
+        sum_{l+2m+3n=g} (b_{m,n}/l!) (-E2/24)^l (E4/24)^m (-E6/108)^n,
 
-    where images = (c2, c4, c6) are the images of -E2/24, E4/24, -E6/108;
-    it reads the entries with 4m + 6n <= 2g only.
-
-    `series.horner_eval` sums it by Horner in c2 over the columns
-    c4^m c6^n, which are cached across calls per image pair: one product
-    per column not cached yet and g Horner steps.
+    one monomial E2^l E4^m E6^n per nonzero b_{m,n} with 4m + 6n <= 2g.
     """
     terms = {}
     for (m, n), b in b_table(2 * g).items():
-        l = g - 2 * m - 3 * n
         if b:
-            terms[(l, m, n)] = b / factorial(l)
-    return horner_eval(terms, images, images[0] ** 0)
-
-
-def onepoint_from_b(g):
-    """The one-point invariant from the b-table route, in Q[E2, E4, E6]."""
-    images = (E2 * rat(-1, 24), E4 * rat(1, 24), E6 * rat(-1, 108))
-    return b_table_onepoint(g, images)
+            l = g - 2 * m - 3 * n
+            terms[(l, m, n)] = (
+                b / factorial(l)
+                * rat(-1, 24) ** l * rat(1, 24) ** m * rat(-1, 108) ** n
+            )
+    return QMPolynomial(terms)

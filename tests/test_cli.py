@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -212,6 +213,19 @@ class TestFjrwCommands:
         )
         assert code == 2
 
+    def test_onepoint_transcript_is_pinned(self):
+        # genus 1..7 in json, then genus 4 at s-order 40 in text and csv
+        runs = [["--genus", str(g)] for g in range(1, 8)] + [
+            ["--genus", "4", "--s-order", "40", "--format", fmt]
+            for fmt in ("text", "csv")
+        ]
+        transcript = ""
+        for argv in runs:
+            code, out = run_cli(["fjrw", "onepoint", "--no-cache"] + argv)
+            assert code == 0, argv
+            transcript += out
+        assert transcript == (TESTS / "fjrw_onepoint.txt").read_text()
+
 
 class TestVerifyCommand:
     def test_single_suite_passes(self):
@@ -226,6 +240,7 @@ class TestVerifyCommand:
             ["chazy", "--s-order", "3"],
             ["prime-form", "--z-order", "3"],
             ["prime-form", "--z-order", "4"],
+            ["all", "--order", "4", "--s-order", "3", "--z-order", "3"],
         ],
     )
     def test_passes_at_the_minimum_orders(self, argv):
@@ -474,3 +489,24 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert "-1/24" in proc.stdout
+
+
+def readme_commands():
+    """The `qmgw ...` lines of README's CLI block, comments dropped."""
+    text = (TESTS.parent / "README.md").read_text()
+    block = text.split("## CLI\n", 1)[1].split("```\n")[1]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("qmgw ")
+    ]
+
+
+class TestReadme:
+    def test_cli_block_has_examples(self):
+        assert len(readme_commands()) >= 10
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_cli_example_runs(self, argv):
+        code, out = run_cli(argv + ["--no-cache"])
+        assert code == 0, out

@@ -5,10 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import coeff_lists, rational_or_integral_lists
+from qmgw import modular
 from qmgw import series as series_module
 from qmgw.errors import InsufficientOrder, InvalidSeries, VariableMismatch
+from qmgw.modular import QMPolynomial, qm_eval
 from qmgw.rational import ONE, ZERO, Rational, rat
-from qmgw.series import D_DS, THETA_Q, PowerSeries, horner_eval
+from qmgw.series import D_DS, THETA_Q, PowerSeries
 from qmgw._backend import conv_trunc
 
 
@@ -310,6 +312,12 @@ class TestCoefficient:
         assert "known to order 2" in str(err.value)
 
 
+class TestShift:
+    def test_negative_shift_rejected(self):
+        with pytest.raises(InvalidSeries):
+            series("q", 1, 2, 3, 4).shift(-1)
+
+
 def horner_by_powers(terms, gens, one):
     """The substituted sum term by term, each x ** e built anew."""
     out = None
@@ -344,72 +352,65 @@ def random_gens(rng, var, order, start=0):
 
 
 class TestHornerEval:
-    """Horner in x2 over cached x4^b x6^c columns."""
+    """qm_eval on any generator triple: Horner in x2 over cached x4^b x6^c
+    columns."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_term_by_term_powers(self, seed):
         rng = random.Random(seed)
-        terms = random_terms(rng)
+        p = QMPolynomial(random_terms(rng))
         gens = random_gens(rng, "s", rng.randint(0, 12))
-        one = PowerSeries.one("s", gens[0].order)
-        got = horner_eval(terms, gens, one)
-        want = horner_by_powers(terms, gens, one)
+        order = gens[0].order
+        got = qm_eval(p, order, gens)
+        want = horner_by_powers(p.terms, gens, PowerSeries.one("s", order))
         assert (got.start, got.order, got.coeffs) == (
             want.start, want.order, want.coeffs,
         )
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_generators_give_the_polynomial_back(self, seed):
-        from qmgw.modular import E2, E4, E6, QMPolynomial
-
-        p = QMPolynomial(random_terms(random.Random(seed)))
-        got = horner_eval(p.terms, (E2, E4, E6), QMPolynomial.constant(ONE))
-        assert got == p
-
     def test_no_terms(self):
-        assert horner_eval({}, random_gens(random.Random(0), "q", 3), None) is None
+        gens = random_gens(random.Random(0), "s", 3)
+        got = qm_eval(QMPolynomial.zero(), 3, gens)
+        assert (got.var, got.start, got.coeffs) == ("s", 0, (ZERO,) * 4)
 
-    @pytest.mark.parametrize("shift", ["start", "order"])
+    @pytest.mark.parametrize("shift", ["start", "order", "moved"])
     def test_columns_are_keyed_exactly(self, shift):
-        # a shifted start is equal under ==; neither may reuse a column
+        # a shifted start is equal under ==, moved series carry the same
+        # coefficient tuples; none may reuse a column
         rng = random.Random(7)
         x2, x4, x6 = random_gens(rng, "q", 6)
         if shift == "start":
             y4 = PowerSeries("q", (ZERO,) + x4.coeffs, -1)
             assert y4 == x4 and hash(y4) == hash(x4)
             y6 = x6
-        else:
+        elif shift == "order":
             y4, y6 = x4.truncate(4), x6.truncate(3)
-        terms = {(1, 2, 1): ONE, (0, 3, 0): rat(2), (0, 0, 2): rat(-1)}
-        one = PowerSeries.one("q", 6)
+        else:
+            y4, y6 = (PowerSeries("q", x.coeffs, 1) for x in (x4, x6))
+        p = QMPolynomial({(1, 2, 1): ONE, (0, 3, 0): rat(2), (0, 0, 2): rat(-1)})
         triples = [(x2, x4, x6), (x2, y4, y6)] * 2
-        warm = [horner_eval(terms, gens, one) for gens in triples]
+        warm = [qm_eval(p, 6, gens) for gens in triples]
         assert (warm[0].start, warm[0].order) != (warm[1].start, warm[1].order)
         for gens, got in zip(triples, warm):
-            series_module._column.cache_clear()
-            cold = horner_eval(terms, gens, one)
+            modular._column.cache_clear()
+            cold = qm_eval(p, 6, gens)
             assert (got.start, got.order, got.coeffs) == (
                 cold.start, cold.order, cold.coeffs,
             )
 
     def test_cached_columns_are_read_only(self):
-        from qmgw.modular import E4, E6
-
         rng = random.Random(3)
         _, x4, x6 = random_gens(rng, "q", 5)
-        col = series_module._column(series_module._GeneratorPair(x4, x6), 2, 1)
+        col = modular._column(modular._GeneratorPair(x4, x6), 2, 1)
         assert col == x4 * x4 * x6
         with pytest.raises(TypeError):
             col.coeffs[0] = ONE
-        col = series_module._column(series_module._GeneratorPair(E4, E6), 1, 2)
-        assert col.terms == {(0, 1, 2): ONE}
-        with pytest.raises(TypeError):
-            col.terms[(0, 0, 0)] = ONE
 
     def test_same_result_after_cache_clear(self):
-        from qmgw.cayley import cayley_frame, cayley_transform
-        from qmgw.modular import QMPolynomial, qm_eval
-        from qmgw.theta import onepoint_from_b
+        from qmgw.cayley import (
+            cayley_frame,
+            cayley_transform,
+            fjrw_onepoint_all_genus,
+        )
 
         rng = random.Random(11)
         p = QMPolynomial(random_terms(rng, top=7))
@@ -417,13 +418,14 @@ class TestHornerEval:
 
         def values():
             q, s = qm_eval(p, 20), cayley_transform(p, frame)
-            return [(f.start, f.order, f.coeffs) for f in (q, s)], onepoint_from_b(9)
+            b = fjrw_onepoint_all_genus(9, frame)
+            return [(f.start, f.order, f.coeffs) for f in (q, s, b)]
 
         warm = values()
         assert warm == values()
-        series_module._column.cache_clear()
+        modular._column.cache_clear()
         cold = values()
-        assert series_module._column.cache_info().misses > 0
+        assert modular._column.cache_info().misses > 0
         assert cold == warm
 
 

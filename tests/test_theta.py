@@ -3,14 +3,13 @@ from math import factorial
 import pytest
 
 from qmgw import modular, theta
-from qmgw.cayley import cayley_frame
+from qmgw.cayley import cayley_frame, fjrw_onepoint_all_genus
 from qmgw.errors import InvalidSeries, NotQuasiModular
 from qmgw.modular import E2, E4, E6, QMPolynomial, qm_eval, quasimodularize
 from qmgw.rational import ONE, rat
 from qmgw.series import D_DS, PowerSeries
 from qmgw.theta import (
     b_table,
-    b_table_onepoint,
     log_theta_deriv,
     one_over_theta,
     onepoint_from_b,
@@ -192,8 +191,8 @@ class TestOnePointTower:
 
     @pytest.mark.parametrize("ring", ["generators", "cayley"])
     def test_b_sum_matches_power_formula(self, ring):
-        # b_table_onepoint runs Horner over cached columns; the formula
-        # takes ** anew
+        # onepoint_from_b writes the monomials down, and its Cayley image
+        # runs Horner over cached columns; the formula takes ** anew
         if ring == "generators":
             images = (E2 * rat(-1, 24), E4 * rat(1, 24), E6 * rat(-1, 108))
         else:
@@ -213,9 +212,10 @@ class TestOnePointTower:
                     continue
                 term = (b / factorial(l)) * ((c2 ** l) * (c4 ** m) * (c6 ** n))
                 want = term if want is None else want + term
-            got = b_table_onepoint(g, images)
-            assert got == want, g
-            if ring == "cayley":
+            if ring == "generators":
+                assert onepoint_from_b(g) == want, g
+            else:
+                got = fjrw_onepoint_all_genus(g, frame)
                 assert (got.start, got.order) == (want.start, 32)
                 assert got.coeffs == want.coeffs
 
