@@ -7,9 +7,8 @@ tower: the genus-g one-point function differentiates to the genus-(g-1)
 one.  The same statement transports through the generator substitution to
 the s-frame, and both directions are checked coefficientwise.
 
-The full n-point anomaly equation involves non-stationary insertions, so
-it is only rendered by the formula printer here; the one-point
-specialization is what gets verified numerically.
+The full n-point anomaly equation involves non-stationary insertions and
+is not implemented; only the one-point specialization is checked.
 """
 
 from math import factorial
@@ -81,35 +80,6 @@ def hae_onepoint_check(g_max=7, frame=None):
             ok,
         )
     return report
-
-
-def npoint_anomaly_formula(n=3):
-    """Text rendering of the general n-point anomaly equation.
-
-    Produced for documentation only: the right-hand side involves
-    non-stationary identity insertions and a genus/leg splitting sum, so
-    it is not evaluated here.  The splitting sum is rendered with an
-    explicit caveat: whether unstable (g, n) ranges are excluded by
-    convention is not settled, and the one-point checks sidestep the term
-    entirely (it vanishes there by the stability of its factors).
-    """
-    legs = ", ".join(f"a{i} psi{i}^l{i}" for i in range(1, n + 1))
-    drop = ", ".join(
-        f"a{j} psi{j}^l{j}" for j in range(1, n + 1) if j != 1
-    )
-    lines = [
-        f"d/dC2 << {legs} >>_g",
-        f"  =  << {legs}, 1, 1 >>_(g-1)",
-        "  +  sum over g1+g2=g and leg splittings I1 u I2:"
-        " << a_I1, 1 >>_g1 * << 1, a_I2 >>_g2",
-        "       (caveat: treatment of unstable (g_i, |I_i|) blocks is a"
-        " convention choice, not pinned here)",
-        f"  -  2 * sum_i deg(a_i) * << ..., 1 psi_i^(l_i+1), ... >>_g"
-        f"   e.g. i=1: << 1 psi1^(l1+1), {drop} >>_g",
-        "       (deg(a_i) = 1 for the point-class insertion, else 0;"
-        " on the cubic side the Kronecker delta on phi plays this role)",
-    ]
-    return "\n".join(lines)
 
 
 def anomaly_power_rule_example(g):

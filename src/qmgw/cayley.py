@@ -12,7 +12,6 @@ from math import factorial
 
 from .chazy import (
     D_DS,
-    THETA_1_3,
     chazy_residual,
     chazy_solve_s,
     fjrw_genus1_series,
@@ -86,7 +85,7 @@ class CayleyFrame(
         return True
 
 
-def cayley_frame(order, theta_1_3=THETA_1_3):
+def cayley_frame(order):
     """Frame at truncation `order`, from the s-frame Chazy solution:
 
         CE2 = chazy solution with f''(0) fixed by the initial invariant,
@@ -96,7 +95,7 @@ def cayley_frame(order, theta_1_3=THETA_1_3):
     if order < 3:
         raise InsufficientOrder("cayley_frame needs order >= 3", required=3)
     # build with headroom so the d/ds losses keep all three at `order`
-    e2 = chazy_solve_s(genus_one_initial_data(theta_1_3), order + 2)
+    e2 = chazy_solve_s(genus_one_initial_data(), order + 2)
     e4 = e2 * e2 - 12 * e2.derive(D_DS)
     e6 = e2 * e4 - 3 * e4.derive(D_DS)
     frame = CayleyFrame(
@@ -177,11 +176,9 @@ def extract_fjrw_invariants(f, base_n, max_m=None):
     return out
 
 
-def fjrw_primary_genus1_invariants(max_n, order=None):
+def fjrw_primary_genus1_invariants(max_n):
     """(n, Theta_{1,n}) for n = 1..max_n from the genus-one series."""
-    if order is None:
-        order = max_n
-    series = fjrw_genus1_series(max(order, max_n, 2))
+    series = fjrw_genus1_series(max(max_n, 2))
     values = extract_fjrw_invariants(series, base_n=1, max_m=max_n - 1)
     return values[:max_n]
 

@@ -27,7 +27,3 @@ class InsufficientOrder(QmgwError):
 
 class UnsupportedInsertion(QmgwError):
     """Correlation-function spec outside the implemented (stationary) sector."""
-
-
-class InconsistentTables(QmgwError):
-    """Internal cross-route consistency failure (signals a rescaling bug)."""

@@ -434,12 +434,12 @@ def quasimodularize(f, w, margin=10):
 
 
 @lru_cache(maxsize=None)
-def reduce_e2k(k, margin=10):
-    """E_k (k >= 4 even) expressed in the generators; always E2-free."""
+def reduce_e2k(k):
+    """E_k (k >= 4 even) in the generators, fitted at margin 10; E2-free."""
     if k < 4 or k % 2:
         raise InvalidSeries("reduce_e2k needs an even weight >= 4")
     dim = len(weight_basis(k))
-    p = quasimodularize(eisenstein(k, dim + margin), k, margin=margin)
+    p = quasimodularize(eisenstein(k, dim + 10), k)
     if p.max_e2_exponent() != 0:
         raise NotQuasiModular(
             f"E_{k} reduction unexpectedly involves E2 (internal error)"

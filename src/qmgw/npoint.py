@@ -32,7 +32,13 @@ from .hurwitz import bracket
 from .modular import quasimodularize, weight_basis
 from .rational import ONE
 from .series import PowerSeries
-from .theta import QM_ONE, QM_ZERO, one_over_theta, prime_form
+from .theta import (
+    QM_ONE,
+    QM_ZERO,
+    one_over_theta,
+    onepoint_from_b,
+    prime_form,
+)
 
 MAX_LEGS = 4
 
@@ -297,9 +303,10 @@ def stationary_invariant(legs, z_order=None):
     `legs` is a tuple of psi-powers l_i >= -2; the result is the
     coefficient of prod z_i^{l_i+1} in the N-point series, a generator
     polynomial of weight sum(l_i + 2).  Any N is served: a lone leg reads
-    1/Theta, two or more are the completed-cycles q-bracket fitted back
-    to the generators, and the determinant assembly `npoint` stays as the
-    independent cross-check.
+    the b-table (the genus-g one-point function, 2g - 1 = l + 1), two or
+    more are the completed-cycles q-bracket fitted back to the generators,
+    and the determinant assembly `npoint` stays as the independent
+    cross-check of both.
     """
     legs = tuple(legs)
     if not legs:
@@ -322,7 +329,7 @@ def stationary_invariant(legs, z_order=None):
     elif not exponents:
         value = QM_ONE
     elif len(exponents) == 1:
-        value = npoint(1, max(z_order, exponents[0])).coefficient(exponents)
+        value = onepoint_from_b((exponents[0] + 1) // 2)
     else:
         q_order = len(weight_basis(weight)) + 9
         value = quasimodularize(

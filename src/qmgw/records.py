@@ -13,9 +13,6 @@ from .rational import rat_str
 
 FORMAT_VERSION = "1"
 
-THEORIES = ("gw_curve", "fjrw_cubic")
-REPRESENTATIONS = ("qm_polynomial", "q_series", "s_series", "rational")
-
 
 class InvariantRecord(
     namedtuple(

@@ -15,15 +15,17 @@ with E_{2k} for k >= 4 fitted into Q[E4, E6] from q-expansions; that
 exponential is the second route `verify prime-form` checks the recursion
 against, and log_theta_deriv reads its exponent.  The Laurent reciprocal
 1/Theta is the one-point generating function, and its z^{2g-1}
-coefficients are the genus-g one-point invariants; the b_{m,n} table
-packages the reciprocal-sigma coefficients the same way.
+coefficients are the genus-g one-point invariants.  Every one-point
+value is served from the b_{m,n} table of reciprocal-sigma coefficients,
+the a-table's inverse on the (m, n) lattice, by `onepoint_from_b`; the
+reciprocal of Theta (`onepoint_qm`) is the check route.
 """
 
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
 
-from .errors import InconsistentTables, InvalidSeries
+from .errors import InvalidSeries
 from .modular import E2, E4, E6, QMPolynomial, bernoulli, reduce_e2k
 from .rational import ONE, ZERO, rat
 from .series import D_DS, PowerSeries
@@ -45,6 +47,8 @@ def weierstrass_a(bound):
     so a_{m+1,n-1} is already known.  The cached table is returned
     read-only.
     """
+    if bound < 0:
+        raise InvalidSeries("table bound must be >= 0")
     table = {(0, 0): ONE}
 
     def get(m, n):
@@ -101,26 +105,28 @@ def sigma_tilde(z_order):
 def b_table(bound):
     """b_{m,n} defined by 1/sigma~ = (1/z) sum b_{m,n} (E4/24)^m (-E6/108)^n z^{4m+6n}.
 
-    Computed by Laurent reciprocal and coefficient matching; the matching
-    must consume every monomial (anything left over signals a rescaling
-    bug and raises).  The cached table is returned read-only.
+    sigma~ * (1/sigma~) = 1 holds monomial by monomial in (E4/24, -E6/108),
+    so the table is the inverse of the weighted a-table on the (m, n)
+    lattice: b_{0,0} = 1 and, for (m, n) != (0, 0),
+
+        b_{m,n} = -sum a_{i,j}/(4i+6j+1)! b_{m-i,n-j}
+
+    over (0, 0) != (i, j) <= (m, n), filled in increasing 4m + 6n.  The
+    cached table is returned read-only.
     """
-    recip = sigma_tilde(bound + 1).reciprocal()
-    table = {}
-    for degree in range(0, bound + 1, 2):
-        coeff = recip.coefficient(degree - 1)
-        remaining = dict(coeff.terms)
-        for n in range(degree // 6 + 1):
-            for m in range(degree // 4 + 1):
-                if 4 * m + 6 * n != degree:
-                    continue
-                key = (0, m, n)
-                c = remaining.pop(key, ZERO)
-                table[(m, n)] = c * rat(24) ** m * rat(-108) ** n
-        if remaining:
-            raise InconsistentTables(
-                f"1/sigma~ coefficient at z^{degree - 1} has monomials "
-                f"outside the (E4/24, -E6/108) lattice: {sorted(remaining)}"
+    a = weierstrass_a(bound)
+    weighted = [
+        (i, j, v / factorial(4 * i + 6 * j + 1))
+        for (i, j), v in a.items()
+        if v and (i or j)
+    ]
+    table = {(0, 0): ONE}
+    for m, n in a:  # (0, 0) first, then increasing 4m + 6n
+        if m or n:
+            table[(m, n)] = -sum(
+                w * table[(m - i, n - j)]
+                for i, j, w in weighted
+                if i <= m and j <= n
             )
     return MappingProxyType(table)
 
@@ -181,7 +187,7 @@ def log_theta_deriv(m, z_order):
 
 
 def onepoint_qm(g, z_order=None):
-    """[z^{2g-1}] of 1/Theta: the genus-g one-point function, weight 2g."""
+    """[z^{2g-1}] of 1/Theta, weight 2g: the check route of onepoint_from_b."""
     if z_order is None:
         z_order = 2 * g + 1
     return one_over_theta(max(z_order, 2 * g + 1)).coefficient(2 * g - 1)

@@ -418,9 +418,17 @@ def suite_fjrw(config):
         report.add(
             name, all(series.coefficient(n) == v for n, v in coeffs.items())
         )
+    # side b substitutes the frame into the tower monomial by monomial,
+    # from powers built here, so it shares no code with qm_eval
+    powers = [[x ** 0] for x in frame.gens()]
+    for row, x in zip(powers, frame.gens()):
+        for _ in range(7):  # genus <= 7: every exponent is <= 7
+            row.append(row[-1] * x)
     for g in range(1, 8):
         a = fjrw_onepoint_all_genus(g, frame)
-        b = cayley_transform(onepoint_qm(g), frame)
+        b = PowerSeries.zero("s", frame.order)
+        for (i, j, k), v in onepoint_qm(g).terms.items():
+            b = b + powers[0][i] * powers[1][j] * powers[2][k] * v
         report.add(f"one-point transport at genus {g}", a == b)
     one = connected_stationary((0,))
     two = connected_stationary((0, 0))

@@ -256,7 +256,7 @@ class QuantizedS:
     results are returned as {hbar_power: polynomial} with the grading
     never summed over.  The vector-field part substitutes level k -> k+1
     in sector 0, so it is nilpotent once levels are capped; the
-    multiplication part raises degree and is capped by max_degree, a bound
+    multiplication part raises degree and is capped by MAX_DEGREE, a bound
     on the sector-0 degree of its output.
 
     With t = a/b, the hbar^{-j} part of the N-th power of the generator is
@@ -266,10 +266,11 @@ class QuantizedS:
     integer until one final division per output monomial.
     """
 
-    def __init__(self, t, level_cap, max_degree=6):
+    MAX_DEGREE = 6
+
+    def __init__(self, t, level_cap):
         self.t = rat(t)
         self.level_cap = level_cap
-        self.max_degree = max_degree
 
     def _step(self, frontier):
         """One application of V + q[0,0]^2/hbar on integer coefficients.
@@ -294,7 +295,7 @@ class QuantizedS:
                 # the truncation parameter governs only the operator's own
                 # sector: capping sector-0 degree keeps the action exactly
                 # commuting with everything built from the other sectors.
-                if sum(e) + 2 <= self.max_degree:
+                if sum(e) + 2 <= self.MAX_DEGREE:
                     key = ((e[0] + 2,) + e[1:], rest)
                     mult[key] = mult.get(key, 0) + c
         out = {j: {k: c for k, c in p.items() if c} for j, p in out.items()}
@@ -326,7 +327,7 @@ class QuantizedS:
             powers.append(frontier)
             frontier = self._step(frontier)
             n += 1
-            if n > (self.max_degree + 2) * (self.level_cap + 2):
+            if n > (self.MAX_DEGREE + 2) * (self.level_cap + 2):
                 raise InvalidSeries(
                     "quantization exponential failed to terminate"
                 )
@@ -355,5 +356,5 @@ class QuantizedS:
         return graded
 
 
-def quantization_S(t, level_cap, max_degree=6):
-    return QuantizedS(t, level_cap, max_degree)
+def quantization_S(t, level_cap):
+    return QuantizedS(t, level_cap)

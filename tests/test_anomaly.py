@@ -4,7 +4,6 @@ from qmgw.anomaly import (
     anomaly_power_rule_example,
     d_dC2,
     hae_onepoint_check,
-    npoint_anomaly_formula,
     prime_form_anomaly_check,
 )
 from qmgw.modular import E2, E4, E6, QMPolynomial
@@ -77,12 +76,3 @@ class TestOnePointLadder:
     def test_minimal_genus(self):
         with pytest.raises(ValueError):
             hae_onepoint_check(1)
-
-
-class TestFormulaPrinter:
-    def test_structure_present(self):
-        text = npoint_anomaly_formula(3)
-        assert "(g-1)" in text
-        assert "g1+g2=g" in text
-        assert "unstable" in text  # the ambiguity is annotated
-        assert "psi_i^(l_i+1)" in text

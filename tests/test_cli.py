@@ -313,6 +313,12 @@ class TestTables:
         assert run_cli(args + ["--cache-dir", str(blocker / "x")]) == bypass
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("table", ["a", "b"])
+    def test_bound_40_dump_is_pinned(self, table):
+        code, out = run_cli(["tables", table, "--bound", "40", "--no-cache"])
+        assert code == 0
+        assert out == (TESTS / f"tables_{table}_40.txt").read_text()
+
     def test_a_table_dump(self):
         code, out = run_cli(["tables", "a", "--bound", "8", "--no-cache"])
         assert code == 0

@@ -39,6 +39,13 @@ class TestOnePoint:
             {(0, 1, 0): rat(1, 2880), (2, 0, 0): rat(1, 1152)}
         )
 
+    @pytest.mark.parametrize("serve", [stationary_invariant, connected_stationary])
+    def test_lone_leg_equals_determinant_series(self, serve):
+        # a lone leg reads the b-table; npoint(1, .) is 1/Theta itself
+        f1 = npoint(1, 26)
+        for l in range(-2, 26):
+            assert serve((l,)) == f1.coefficient((l + 1,)), l
+
     def test_even_exponents_vanish(self):
         f1 = npoint(1, 8)
         for e in range(0, 8, 2):
@@ -185,6 +192,9 @@ class TestStationaryInvariant:
         with pytest.raises(InsufficientOrder) as err:
             stationary_invariant((2, 2), z_order=2)
         assert err.value.required == 6
+        with pytest.raises(InsufficientOrder) as err:
+            stationary_invariant((4,), z_order=4)
+        assert err.value.required == 5
 
     def test_empty_legs_rejected(self):
         with pytest.raises(InvalidSeries):

@@ -74,6 +74,27 @@ class TestWeierstrassTables:
         # sum over 2l+4m+6n = 4 of the b-formula equals [z^3](1/Theta)
         assert onepoint_from_b(2) == one_over_theta(7).coefficient(3)
 
+    def test_b_is_the_reciprocal_of_sigma(self):
+        # the reference reads 1/sigma~ off its Laurent reciprocal over
+        # Q[E4, E6] and un-scales it; every monomial lies on the lattice
+        for bound in range(31):
+            recip = sigma_tilde(bound + 1).reciprocal()
+            want = {}
+            for degree in range(0, bound + 1, 2):
+                terms = dict(recip.coefficient(degree - 1).terms)
+                for n in range(degree // 6 + 1):
+                    for m in range(degree // 4 + 1):
+                        if 4 * m + 6 * n == degree:
+                            c = terms.pop((0, m, n), rat(0))
+                            want[(m, n)] = c * rat(24) ** m * rat(-108) ** n
+                assert not terms, (bound, degree)
+            assert dict(b_table(bound)) == want, bound
+
+    @pytest.mark.parametrize("table", [weierstrass_a, b_table])
+    def test_negative_bound_rejected(self, table):
+        with pytest.raises(InvalidSeries, match="table bound must be >= 0"):
+            table(-1)
+
     def test_cached_tables_are_read_only(self):
         for table in (weierstrass_a(6), b_table(6)):
             with pytest.raises(TypeError):
