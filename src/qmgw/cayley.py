@@ -8,6 +8,7 @@ evaluated; they are recorded as documentation strings on the frame.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 from math import factorial
 
 from .chazy import (
@@ -85,12 +86,16 @@ class CayleyFrame(
         return True
 
 
+@lru_cache(maxsize=None)
 def cayley_frame(order):
     """Frame at truncation `order`, from the s-frame Chazy solution:
 
         CE2 = chazy solution with f''(0) fixed by the initial invariant,
         CE4 = CE2^2 - 12 d/ds CE2,
         CE6 = CE2*CE4 - 3 d/ds CE4.
+
+    Built once per order; the cached frame is a tuple of series and is
+    shared by every caller.
     """
     if order < 3:
         raise InsufficientOrder("cayley_frame needs order >= 3", required=3)

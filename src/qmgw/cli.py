@@ -220,13 +220,6 @@ def cmd_fjrw(args, config, out):
     genus = args.genus
     if genus < 1:
         raise UnsupportedInsertion("one-point tower starts at genus 1")
-    needed = 2 * genus
-    if config.b_bound < needed:
-        raise InsufficientOrder(
-            f"b-table bound {config.b_bound} too small for genus {genus}; "
-            f"need --b-bound >= {needed}",
-            required=needed,
-        )
     from .cayley import cayley_frame, fjrw_onepoint_all_genus
 
     frame = cayley_frame(config.s_order)

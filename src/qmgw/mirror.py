@@ -14,7 +14,7 @@ from math import isqrt
 
 from .errors import InsufficientOrder, InvalidSeries
 from .modular import eisenstein, euler_function
-from .rational import ONE, ZERO, rat
+from .rational import ONE, ZERO, rat, scaled_ints
 from .records import CheckReport
 from .series import THETA_Q, PowerSeries
 
@@ -208,7 +208,8 @@ def mirror_map_series(order):
 
 
 def revert_series(f):
-    """Compositional inverse g of f = x + O(x^2), by Lagrange inversion:
+    """Compositional inverse g of f = x + O(x^2) over Q, by Lagrange
+    inversion:
 
         [q^k] g = (1/k) [x^(k-1)] (x/f)^k.
 
@@ -217,21 +218,41 @@ def revert_series(f):
 
         p_0 = 1,  p_m = (1/m) sum_{i=1}^{m} ((k+1) i - m) h_i p_{m-i},
 
-    so power k costs about k^2/2 coefficient products, n^3/6 in all.
+    so power k costs about k^2/2 coefficient products, n^3/6 in all.  They
+    run on ints: with h = H/E over the common denominator E,
+    P_m = m! E^m p_m satisfies
+
+        P_0 = 1,  P_m = sum_{i=1}^{m} ((k+1) i - m) H_i E^(i-1)
+                        (m-1)!/(m-i)! P_{m-i},
+
+    and [q^k] g = P_{k-1} / (k! E^(k-1)) is wrapped once.
     """
     if f.start or f.coefficient(0) or f.coefficient(1) != ONE:
         raise InvalidSeries("reversion needs f = x + O(x^2)")
-    h = PowerSeries(f.var, f.coeffs[1:]).reciprocal().coeffs
+    scaled = scaled_ints(PowerSeries(f.var, f.coeffs[1:]).reciprocal().coeffs)
+    if scaled is None:
+        raise InvalidSeries("reversion needs a series over Q")
+    nums, e = scaled
+    weights = [0]  # H_i E^(i-1)
+    power = 1
+    for hi in nums[1:]:
+        weights.append(hi * power)
+        power *= e
     g = [ZERO]
+    scale = 1  # k! E^(k-1)
     for k in range(1, f.order + 1):
-        p = [ONE]
+        p = [1]
         for m in range(1, k):
-            acc = ZERO
+            acc = 0
+            falling = 1  # (m-1)!/(m-i)!
             for i in range(1, m + 1):
-                if h[i]:
-                    acc += ((k + 1) * i - m) * h[i] * p[m - i]
-            p.append(acc / m)
-        g.append(p[k - 1] / k)
+                w = weights[i]
+                if w:
+                    acc += ((k + 1) * i - m) * falling * w * p[m - i]
+                falling *= m - i
+            p.append(acc)
+        g.append(rat(p[k - 1], scale))
+        scale *= (k + 1) * e
     return PowerSeries(f.var, g)
 
 

@@ -2,10 +2,13 @@
 
 Every rational is a ``fractions.Fraction``, kept reduced with a positive
 denominator.  Everything else in the package builds rationals through
-:func:`rat`, so the scalar type is named only here.
+:func:`rat`, so the scalar type is named only here.  Values that are
+integers by construction may stay Python ints: the Virasoro operators of
+:mod:`qmgw.virasoro` keep their integer coefficients as ints.
 """
 
 from fractions import Fraction as Rational
+from math import lcm
 
 ZERO = Rational(0)
 ONE = Rational(1)
@@ -29,6 +32,16 @@ def numerators(values):
             return None
         out.append(x.numerator)
     return out
+
+
+def scaled_ints(values):
+    """(nums, den) with values[i] == nums[i]/den and den the least common
+    denominator, if each value is a Fraction; else None."""
+    for x in values:
+        if type(x) is not Rational:
+            return None
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def from_ints(values):

@@ -19,10 +19,27 @@ Integral series multiply over ZZ.  When both factors are series over Q
 (both zeros are the rational zero) and every coefficient of both has
 denominator 1, as for E2, E4, E6, the Euler product and the theta
 quotients, a product convolves the integer numerators and wraps each
-result once as a Fraction, with no gcd; so does the reciprocal of such a
-series whose first coefficient is +1 or -1.  The rule looks only at the
+result once as a Fraction, with no gcd.  The rule looks only at the
 operands' own coefficients: any other pair takes the Fraction path, with
 the same result.
+
+The reciprocal, exp and compose of series over Q run over ZZ as well, on
+one common denominator (the layout of FLINT's fmpq_poly).  Each operand
+is scaled to integers over its least common denominator, a = A/D and
+inner = I/E; the recurrence runs on Python ints with the powers of the
+denominators carried exactly; each result coefficient is wrapped once:
+
+    reciprocal  R_k = r_k A_0^(k+1) / D:
+                R_0 = 1,  R_k = -sum_{i=1}^{k} A_i A_0^(i-1) R_{k-i};
+    exp         O_k = e_k k! D^k:
+                O_0 = 1,  O_k = sum_{i=1}^{k} i A_i D^(i-1) (k-1)!/(k-i)! O_{k-i};
+    compose     Horner from the top, S_n = A_n,
+                S_k = A_k E^(n-k) + S_{k+1} (I/var),  self(inner) = S_0 / (D E^n).
+
+An integral series with first coefficient +1 or -1 is the case D = 1,
+A_0^(k+1) = +-1.  The reciprocal and exp of series over any other ring,
+such as the generator polynomials, take the generic recurrence; compose
+takes series over Q only.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -30,7 +47,7 @@ Values are immutable after construction and safe to share across threads.
 from numbers import Number
 
 from .errors import InsufficientOrder, InvalidSeries, VariableMismatch
-from .rational import ONE, ZERO, from_ints, numerators, rat
+from .rational import ONE, ZERO, from_ints, numerators, rat, scaled_ints
 from ._backend import conv_trunc
 
 VARIABLES = ("q", "s", "t", "x", "z")
@@ -52,6 +69,62 @@ def _int_coeffs(f):
     """f's coefficients as ints, if f is over Q (its zero is the rational
     ZERO) and each is an integer; else None."""
     return numerators(f.coeffs) if f._zero is ZERO else None
+
+
+def _scaled(f, coeffs):
+    """(nums, den) for `coeffs`, some of f's, if f is over Q; else None."""
+    return scaled_ints(coeffs) if f._zero is ZERO else None
+
+
+def _reciprocal_over_q(nums, den):
+    """The coefficients of 1/(sum nums[i]/den x^i), as Fractions."""
+    a0 = nums[0]
+    b = [0]  # b_i = A_i A_0^(i-1)
+    power = 1
+    for ai in nums[1:]:
+        b.append(ai * power)
+        power *= a0
+    out = [1]
+    for k in range(1, len(nums)):
+        acc = 0
+        for i in range(1, k + 1):
+            bi = b[i]
+            if bi:
+                acc += bi * out[k - i]
+        out.append(-acc)
+    result = []
+    scale = 1  # A_0^(k+1)
+    for r in out:
+        scale *= a0
+        result.append(rat(den * r, scale))
+    return result
+
+
+def _exp_over_q(nums, den):
+    """The coefficients of exp(sum nums[i]/den x^i), nums[0] == 0, as
+    Fractions."""
+    n = len(nums) - 1
+    c = [0]  # c_i = i A_i D^(i-1)
+    power = 1
+    for i in range(1, n + 1):
+        c.append(i * nums[i] * power)
+        power *= den
+    out = [1]
+    for k in range(1, n + 1):
+        acc = 0
+        falling = 1  # (k-1)!/(k-i)!
+        for i in range(1, k + 1):
+            ci = c[i]
+            if ci:
+                acc += ci * falling * out[k - i]
+            falling *= k - i
+        out.append(acc)
+    result = [ONE]
+    scale = 1  # k! D^k
+    for k in range(1, n + 1):
+        scale *= k * den
+        result.append(rat(out[k], scale))
+    return result
 
 
 class PowerSeries:
@@ -261,19 +334,19 @@ class PowerSeries:
     def reciprocal(self):
         """1/self; the coefficient at the start exponent must be a unit.
 
-        The result starts at -start and is known to order - 2*start.  An
-        integral series over Q whose first coefficient is +1 or -1 has an
-        integral reciprocal: the recurrence then runs on ints, and each
-        result coefficient is wrapped once.
+        The result starts at -start and is known to order - 2*start.  Over
+        Q the recurrence runs on ints over the common denominator D,
+        R_k = r_k A_0^(k+1) / D, and each result coefficient is wrapped
+        once; over any other ring it runs on the coefficients themselves.
         """
         a = self.coeffs
         if not a[0]:
             raise InvalidSeries("reciprocal needs a unit leading coefficient")
-        ints = _int_coeffs(self)
-        if ints is not None and ints[0] in (1, -1):
-            a, inv0, zero = ints, ints[0], 0
-        else:
-            ints, inv0, zero = None, ONE / a[0], self._zero
+        scaled = _scaled(self, a)
+        if scaled is not None:
+            return self._like(_reciprocal_over_q(*scaled), -self.start)
+        zero = self._zero
+        inv0 = ONE / a[0]
         n = len(a) - 1
         out = [zero] * (n + 1)
         out[0] = inv0
@@ -284,13 +357,21 @@ class PowerSeries:
                 if ai:
                     acc = acc + ai * out[k - i]
             out[k] = -inv0 * acc
-        return self._like(out if ints is None else from_ints(out), -self.start)
+        return self._like(out, -self.start)
 
     def exp(self):
-        """exp(self); requires zero constant term."""
+        """exp(self); requires zero constant term.
+
+        Over Q the recurrence runs on ints over the common denominator D,
+        O_k = e_k k! D^k, and each result coefficient is wrapped once; over
+        any other ring it runs on the coefficients themselves.
+        """
         self._require_power_series("exp")
         if self.coeffs[0]:
             raise InvalidSeries("exp needs a zero constant term")
+        scaled = _scaled(self, self.coeffs)
+        if scaled is not None:
+            return self._like(_exp_over_q(*scaled), 0)
         n = self.order
         zero = self._zero
         out = [zero] * (n + 1)
@@ -320,14 +401,17 @@ class PowerSeries:
         return self._like(out, 0)
 
     def compose(self, inner):
-        """self(inner); inner must have zero constant term.
+        """self(inner) for series over Q; inner must have zero constant term.
 
         The result lives in inner's variable at the common truncation n.
         Horner's scheme from the top coefficient down: step k,
         h_k = a_k + h_{k+1} * inner, ends up multiplied by inner^k, whose
         valuation is at least k, so only its coefficients up to n - k are
         formed.  That is one product of order n - k - 1 with inner/var per
-        step, about n^3/6 coefficient products in all.
+        step, about n^3/6 coefficient products in all.  They run on ints:
+        with self = A/D and inner = I/E, S_k = D E^(n-k) h_k satisfies
+        S_k = A_k E^(n-k) + S_{k+1} (I/var), and each coefficient of
+        S_0 / (D E^n) is wrapped once.
         """
         if not isinstance(inner, PowerSeries):
             raise InvalidSeries("compose expects a series argument")
@@ -336,14 +420,20 @@ class PowerSeries:
         if inner.coeffs[0]:
             raise InvalidSeries("compose needs inner constant term 0")
         n = min(self.order, inner.order)
-        step = [self.coeffs[n]]
+        outer = _scaled(self, self.coeffs[: n + 1])
         # inner / var; its product with h_{k+1} gives h_k above the constant
-        tail = inner.coeffs[1 : n + 1]
+        tail = _scaled(inner, inner.coeffs[1 : n + 1])
+        if outer is None or tail is None:
+            raise InvalidSeries("compose needs series over Q")
+        (a, d), (tail, e) = outer, tail
+        e_powers = [1]
+        for _ in range(n):
+            e_powers.append(e_powers[-1] * e)
+        step = [a[n]]
         for k in range(n - 1, -1, -1):
-            step = [self.coeffs[k]] + conv_trunc(
-                step, tail, n - k - 1, self._zero
-            )
-        return self._like(step, 0, inner.var)
+            step = [a[k] * e_powers[n - k]] + conv_trunc(step, tail, n - k - 1, 0)
+        den = d * e_powers[n]
+        return self._like([rat(s, den) for s in step], 0, inner.var)
 
     # -- calculus ----------------------------------------------------------
     def derive(self, mode):

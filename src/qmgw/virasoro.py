@@ -21,7 +21,11 @@ constant and linear terms, so the relation is checked by comparing the
 commutator with (n - m) L_{n+m} term by term over that window.
 
 Polynomials are dicts mapping monomials (sorted tuples of ((sector,
-level), exponent)) to rationals; the monomial 1 is ().
+level), exponent)) to rationals; the monomial 1 is ().  The operators'
+coefficients are integers, (k+1)! and rising factorials of integers, so
+they are kept as Python ints, and so are their commutators, their integer
+multiples and the probes of the bracket check: no rational arithmetic
+runs there.
 """
 
 from functools import lru_cache
@@ -43,7 +47,7 @@ SECTOR_OFFSET = {0: 0, 1: 1, 2: 0, 3: 1}
 
 def pochhammer(a, n):
     """Rising factorial a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    out = ONE
+    out = 1
     for i in range(n):
         out *= a + i
     return out
@@ -71,7 +75,7 @@ def poly_add(p, q):
 
 
 def poly_scale(p, c):
-    c = rat(c)
+    """c * p for a number c."""
     if not c:
         return {}
     return {k: c * v for k, v in p.items()}
@@ -137,7 +141,7 @@ class DiffOperator:
         return add_into({}, out)
 
     def scaled(self, c):
-        c = rat(c)
+        """c * self for a number c."""
         return DiffOperator((k, c * v) for k, v in self.terms.items())
 
     def commutator(self, other):
@@ -172,12 +176,12 @@ def virasoro_op(theory, k, level_cap):
         raise InvalidSeries(
             f"level cap {level_cap} too small for L_{k} (needs >= {k + 1})"
         )
-    terms = [(((), (0, k + 1)), -rat(factorial(k + 1)))]
+    terms = [(((), (0, k + 1)), -factorial(k + 1))]
     for sector in SECTORS:
         off = SECTOR_OFFSET[sector]
         for l in range(level_cap + 1):
             if 0 <= k + l <= level_cap:
-                w = pochhammer(rat(l + off), k + 1)
+                w = pochhammer(l + off, k + 1)
                 terms.append((((sector, l), (sector, k + l)), w))
     return DiffOperator(terms)
 
@@ -219,7 +223,7 @@ def virasoro_commutator_check(n, m, level_cap, theory="curve"):
         mono_var(s, l) for s in SECTORS for l in range(window + 1)
     ]
     for mono in probes:
-        poly = {mono: ONE}
+        poly = {mono: 1}
         lhs = poly_add(
             ln.apply(lm.apply(poly)), poly_scale(lm.apply(ln.apply(poly)), -1)
         )

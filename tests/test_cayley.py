@@ -79,6 +79,14 @@ class TestFrame:
         with pytest.raises(InsufficientOrder):
             cayley_frame(2)
 
+    def test_built_once_per_order_and_read_only(self):
+        frame = cayley_frame(16)
+        assert cayley_frame(16) is frame
+        assert cayley_frame(17) is not frame
+        with pytest.raises(AttributeError):
+            frame.e2 = frame.e4
+        assert frame == cayley_frame.__wrapped__(16)
+
     def test_documentation_constants_are_strings(self, frame):
         assert "tau*" in frame.tau_star
         assert "Gamma" in frame.scale

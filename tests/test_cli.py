@@ -200,12 +200,29 @@ class TestFjrwCommands:
         code, _ = run_cli(
             [
                 "fjrw", "onepoint", "--genus", "2",
-                "--b-bound", "2", "--no-cache",
+                "--s-order", "2", "--no-cache",
             ]
         )
         assert code == 3
         err = capsys.readouterr().err
-        assert ">= 4" in err  # message names the minimal order
+        assert "s-order must be >= 3" in err  # names the minimal order
+
+    @pytest.mark.parametrize("b_bound", [None, "2"])
+    def test_b_bound_does_not_limit_the_genus(self, b_bound):
+        # the table is always the exact b_table(2g), as gw onepoint reads it
+        from qmgw.cayley import cayley_frame, cayley_transform
+        from qmgw.theta import onepoint_from_b
+
+        flags = [] if b_bound is None else ["--b-bound", b_bound]
+        code, out = run_cli(
+            ["fjrw", "onepoint", "--genus", "8", "--no-cache"] + flags
+        )
+        assert code == 0
+        (record,) = parse_json_lines(out)
+        want = cayley_transform(onepoint_from_b(8), cayley_frame(16))
+        assert record["payload"]["coefficients"] == [
+            rat_str(c) for c in want.coeffs
+        ]
 
     def test_nonpositive_genus_exit_2(self):
         code, _ = run_cli(

@@ -138,6 +138,23 @@ class TestIFunctions:
                 assert i1.coefficient(n) == ZERO
 
 
+def reference_revert(f):
+    """Lagrange reversion by Miller's recurrence over Fraction: (coeffs,
+    start, order)."""
+    h = PowerSeries(f.var, f.coeffs[1:]).reciprocal().coeffs
+    g = [ZERO]
+    for k in range(1, f.order + 1):
+        p = [ONE]
+        for m in range(1, k):
+            acc = sum(
+                (((k + 1) * i - m) * h[i] * p[m - i] for i in range(1, m + 1)),
+                ZERO,
+            )
+            p.append(acc / m)
+        g.append(p[k - 1] / k)
+    return tuple(g), 0, f.order
+
+
 class TestMirrorMap:
     def test_reversion_oracle(self):
         # g = f^{-1} built independently by Lagrange-style iteration
@@ -171,6 +188,33 @@ class TestMirrorMap:
         got = revert_series(f)
         assert (got.start, got.order) == (0, order)
         assert list(got.coeffs) == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reversion_matches_the_fraction_reference(self, seed):
+        # mixed denominators: the integer recurrence carries E^(i-1) and
+        # the falling factorials exactly
+        rng = random.Random(100 + seed)
+        for _ in range(4):
+            order = rng.randint(1, 16)
+            tail = [
+                rat(rng.randint(-30, 30), rng.randint(1, 12))
+                if rng.random() < 0.8 else ZERO
+                for _ in range(order - 1)
+            ]
+            f = PowerSeries("q", [ZERO, ONE] + tail)
+            got = revert_series(f)
+            assert (got.coeffs, got.start, got.order) == reference_revert(f)
+            assert f.compose(got) == PowerSeries.identity("q", order)
+
+    def test_reversion_refuses_other_rings(self):
+        from qmgw.modular import E2, QMPolynomial
+
+        zero = QMPolynomial.zero()
+        f = PowerSeries("q", [ZERO, ONE, ZERO]) * PowerSeries(
+            "q", [QMPolynomial.constant(1), E2, zero]
+        )
+        with pytest.raises(InvalidSeries):
+            revert_series(f)
 
     def test_reversion_requires_normalized_input(self):
         with pytest.raises(InvalidSeries):

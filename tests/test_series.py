@@ -298,6 +298,90 @@ class TestIntegralPath:
             assert [qm0 + c for c in got.coeffs] == [qm0 + c for c in want]
 
 
+def reference_exp(f):
+    """exp(f) by its defining recurrence over Fraction: (coeffs, start,
+    order)."""
+    a = f.coeffs
+    out = [Rational(1)]
+    for k in range(1, len(a)):
+        acc = sum((i * a[i] * out[k - i] for i in range(1, k + 1)), Rational(0))
+        out.append(acc / k)
+    return tuple(out), 0, f.order
+
+
+def reference_compose(f, g):
+    """f(g) by Horner over Fraction, step k to order n - k: (coeffs, start,
+    order)."""
+    n = min(f.order, g.order)
+    step = [f.coeffs[n]]
+    for k in range(n - 1, -1, -1):
+        step = [f.coeffs[k]] + conv_trunc(step, g.coeffs[1 : n + 1], n - k - 1, ZERO)
+    return tuple(step), 0, n
+
+
+def rational_grid(seed, count=16, constant=None):
+    """Seeded series over Q: mixed denominators 1..12, zero entries, orders
+    0..12; with `constant` the constant term is set to it."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        cs = [
+            ZERO if rng.random() < 0.2
+            else rat(rng.randint(-40, 40), rng.randint(1, 12))
+            for _ in range(rng.randint(0, 12) + 1)
+        ]
+        if constant is not None:
+            cs[0] = constant
+        out.append(PowerSeries("z", cs))
+    return out
+
+
+class TestRationalPath:
+    """Reciprocal, exp and compose over Q run on one common denominator,
+    with the results of the Fraction recurrences (the reciprocal's seeded
+    grid is TestIntegralPath's, whose rational series have non-unit
+    leading coefficients and Laurent starts)."""
+
+    def test_laurent_reciprocal_with_non_unit_leading_coefficient(self):
+        f = PowerSeries(
+            "z", [rat(-3, 2), rat(1, 3), ZERO, rat(5, 4), rat(-7, 6), rat(2)], -2
+        )
+        got = f.reciprocal()
+        assert (got.coeffs, got.start, got.order) == reference_reciprocal(f)
+        assert (got.start, got.order) == (2, 7)
+        product = f * got
+        assert product.coeffs == (ONE,) + (ZERO,) * 5
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exp_matches_the_fraction_reference(self, seed):
+        for f in rational_grid(seed, constant=ZERO):
+            got = f.exp()
+            assert (got.coeffs, got.start, got.order) == reference_exp(f)
+            assert all(type(c) is Rational for c in got.coeffs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_compose_matches_the_fraction_reference(self, seed):
+        outers = rational_grid(seed, count=6)
+        inners = rational_grid(seed + 100, count=6, constant=ZERO)
+        for f in outers:
+            for g in inners:
+                got = f.compose(g.retag("q"))
+                assert (got.coeffs, got.start, got.order) == reference_compose(f, g)
+                assert got.var == "q"
+                assert all(type(c) is Rational for c in got.coeffs)
+
+    def test_compose_refuses_other_rings(self):
+        from qmgw.modular import E2
+
+        zero = QMPolynomial.zero()
+        over_qm = PowerSeries("z", [QMPolynomial.constant(1), E2, zero])
+        inner = series("z", 0, 1, "1/2")
+        with pytest.raises(InvalidSeries, match="over Q"):
+            over_qm.compose(inner)
+        with pytest.raises(InvalidSeries, match="over Q"):
+            inner.compose(PowerSeries("z", [zero, E2, zero]))
+
+
 class TestCoefficient:
     def test_below_start_is_zero(self):
         f = PowerSeries("z", [rat(2), rat(1)], 3)

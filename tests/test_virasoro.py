@@ -1,8 +1,10 @@
+from math import factorial
+
 import pytest
 
 import qmgw.virasoro
 from qmgw.errors import InvalidSeries
-from qmgw.rational import ONE, ZERO, rat
+from qmgw.rational import ONE, ZERO, Rational, rat
 from qmgw.virasoro import (
     THEORIES,
     DiffOperator,
@@ -48,8 +50,6 @@ class TestOperators:
 
     def test_affine_term_on_probe(self):
         # L_k contains -(k+1)! d/d t0_{k+1}
-        from math import factorial
-
         for k in range(-1, 3):
             op = virasoro_op("curve", k, 8)
             got = op.apply(poly_var(0, k + 1))
@@ -63,6 +63,47 @@ class TestOperators:
     def test_unknown_theory(self):
         with pytest.raises(InvalidSeries):
             virasoro_op("orbifold", 0, 5)
+
+
+def fraction_virasoro_op(theory, k, level_cap):
+    """L_k from the module docstring's formula, every coefficient a
+    Fraction: -(k+1)! d/dt[0,k+1] + sum (l + off)_{k+1} t[s,l] d/dt[s,k+l],
+    off 0 in sectors 0 and 2 and 1 in sectors 1 and 3 (both theories)."""
+    assert theory in THEORIES
+    terms = [(((), (0, k + 1)), -rat(factorial(k + 1)))]
+    for sector, off in ((0, 0), (1, 1), (2, 0), (3, 1)):
+        for l in range(level_cap + 1):
+            if 0 <= k + l <= level_cap:
+                w = ONE
+                for i in range(k + 1):
+                    w *= rat(l + off + i)
+                terms.append((((sector, l), (sector, k + l)), w))
+    return DiffOperator(terms)
+
+
+class TestIntegerCoefficients:
+    @pytest.mark.parametrize("theory", THEORIES)
+    @pytest.mark.parametrize("k", range(-1, 5))
+    def test_operator_matches_the_fraction_build(self, theory, k):
+        op = virasoro_op(theory, k, 10)
+        want = fraction_virasoro_op(theory, k, 10)
+        assert op == want
+        assert all(type(c) is int for c in op.terms.values())
+        assert all(type(c) is Rational for c in want.terms.values())
+
+    @pytest.mark.parametrize("theory", THEORIES)
+    def test_commutators_match_the_fraction_build(self, theory):
+        for n, m in ((2, -1), (1, 0), (3, 1), (4, -1)):
+            got = virasoro_op(theory, n, 10).commutator(
+                virasoro_op(theory, m, 10)
+            )
+            want = fraction_virasoro_op(theory, n, 10).commutator(
+                fraction_virasoro_op(theory, m, 10)
+            )
+            assert got == want
+            assert all(type(c) is int for c in got.terms.values())
+            scaled = virasoro_op(theory, n + m, 10).scaled(n - m)
+            assert all(type(c) is int for c in scaled.terms.values())
 
 
 class TestBracket:
