@@ -70,8 +70,8 @@ class RunConfig(
                 raise InsufficientOrder(
                     f"{name} must be >= {floor}", required=floor
                 )
-        if b_bound < 2:
-            raise InvalidSeries("b-table bound must be >= 2")
+        if b_bound < 0:
+            raise InvalidSeries("table bound must be >= 0")
         if margin < 1:
             raise InvalidSeries("verification margin must be >= 1")
         return super().__new__(

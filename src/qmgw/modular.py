@@ -12,12 +12,11 @@ q-coefficients, so the basis expansions are cached tuples of ints
 """
 
 from functools import lru_cache
-from math import lcm
 from types import MappingProxyType
 
 from ._backend import add_into, conv_trunc, exp_mul_dict
 from .errors import InsufficientOrder, InvalidSeries, NotQuasiModular
-from .rational import ONE, ZERO, rat
+from .rational import ONE, ZERO, rat, scaled_ints
 from .series import _SCALARS, THETA_Q, PowerSeries
 
 
@@ -365,9 +364,8 @@ def _solve_fraction_free(matrix, rhs):
     singular.
     """
     n = len(matrix)
-    scale = lcm(*(r.denominator for r in rhs))
-    m = [list(row) + [r.numerator * (scale // r.denominator)]
-         for row, r in zip(matrix, rhs)]
+    nums, scale = scaled_ints(rhs)
+    m = [list(row) + [r] for row, r in zip(matrix, nums)]
     prev = 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if m[r][k]), None)

@@ -23,27 +23,29 @@ result once as a Fraction, with no gcd.  The rule looks only at the
 operands' own coefficients: any other pair takes the Fraction path, with
 the same result.
 
-The reciprocal, exp and compose of series over Q run over ZZ as well, on
-one common denominator (the layout of FLINT's fmpq_poly).  Each operand
-is scaled to integers over its least common denominator, a = A/D and
-inner = I/E; the recurrence runs on Python ints with the powers of the
-denominators carried exactly; each result coefficient is wrapped once:
+The reciprocal and exp are one recurrence each, run by one loop over
+every ring; the rings differ only in how the operand is scaled in and the
+results wrapped out.  Over Q the operand is scaled to integers over its
+least common denominator, a = A/D (the layout of FLINT's fmpq_poly), the
+loop runs on Python ints with the powers of the denominator carried
+exactly, and each result coefficient is wrapped once.  Over any other
+ring, such as the generator polynomials, it runs on the coefficients:
 
-    reciprocal  R_k = r_k A_0^(k+1) / D:
-                R_0 = 1,  R_k = -sum_{i=1}^{k} A_i A_0^(i-1) R_{k-i};
-    exp         O_k = e_k k! D^k:
-                O_0 = 1,  O_k = sum_{i=1}^{k} i A_i D^(i-1) (k-1)!/(k-i)! O_{k-i};
-    compose     Horner from the top, S_n = A_n,
-                S_k = A_k E^(n-k) + S_{k+1} (I/var),  self(inner) = S_0 / (D E^n).
+    reciprocal  R_0 = 1,  R_k = -sum_{i=1}^{k} b_i R_{k-i},
+                over Q  b_i = A_i A_0^(i-1),  r_k = D R_k / A_0^(k+1),
+                else    b_i = a_i / a_0,      r_k = R_k / a_0;
+    exp         O_0 = 1,  O_k = sum_{i=1}^{k} c_i (k-1)!/(k-i)! O_{k-i},
+                over Q  c_i = i A_i D^(i-1),  e_k = O_k / (k! D^k),
+                else    c_i = i a_i,          e_k = O_k / k!.
 
-An integral series with first coefficient +1 or -1 is the case D = 1,
-A_0^(k+1) = +-1.  The reciprocal and exp of series over any other ring,
-such as the generator polynomials, take the generic recurrence; compose
-takes series over Q only.
+compose takes series over Q only.  With inner = I/E it runs Horner from
+the top on ints, S_n = A_n, S_k = A_k E^(n-k) + S_{k+1} (I/var), and
+self(inner) = S_0 / (D E^n).
 
 Values are immutable after construction and safe to share across threads.
 """
 
+from math import factorial
 from numbers import Number
 
 from .errors import InsufficientOrder, InvalidSeries, VariableMismatch
@@ -76,42 +78,32 @@ def _scaled(f, coeffs):
     return scaled_ints(coeffs) if f._zero is ZERO else None
 
 
-def _reciprocal_over_q(nums, den):
-    """The coefficients of 1/(sum nums[i]/den x^i), as Fractions."""
-    a0 = nums[0]
-    b = [0]  # b_i = A_i A_0^(i-1)
-    power = 1
-    for ai in nums[1:]:
-        b.append(ai * power)
-        power *= a0
+def _powers(x, n):
+    """[x^0, x^1, ..., x^n]."""
     out = [1]
-    for k in range(1, len(nums)):
-        acc = 0
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
+def _reciprocal_loop(b, zero):
+    """R_0 = 1, R_k = -sum_{i=1}^{k} b_i R_{k-i} for k < len(b)."""
+    out = [zero + 1]
+    for k in range(1, len(b)):
+        acc = zero
         for i in range(1, k + 1):
             bi = b[i]
             if bi:
                 acc += bi * out[k - i]
         out.append(-acc)
-    result = []
-    scale = 1  # A_0^(k+1)
-    for r in out:
-        scale *= a0
-        result.append(rat(den * r, scale))
-    return result
+    return out
 
 
-def _exp_over_q(nums, den):
-    """The coefficients of exp(sum nums[i]/den x^i), nums[0] == 0, as
-    Fractions."""
-    n = len(nums) - 1
-    c = [0]  # c_i = i A_i D^(i-1)
-    power = 1
-    for i in range(1, n + 1):
-        c.append(i * nums[i] * power)
-        power *= den
-    out = [1]
-    for k in range(1, n + 1):
-        acc = 0
+def _exp_loop(c, zero):
+    """O_0 = 1, O_k = sum_{i=1}^{k} c_i (k-1)!/(k-i)! O_{k-i} for k < len(c)."""
+    out = [zero + 1]
+    for k in range(1, len(c)):
+        acc = zero
         falling = 1  # (k-1)!/(k-i)!
         for i in range(1, k + 1):
             ci = c[i]
@@ -119,12 +111,7 @@ def _exp_over_q(nums, den):
                 acc += ci * falling * out[k - i]
             falling *= k - i
         out.append(acc)
-    result = [ONE]
-    scale = 1  # k! D^k
-    for k in range(1, n + 1):
-        scale *= k * den
-        result.append(rat(out[k], scale))
-    return result
+    return out
 
 
 class PowerSeries:
@@ -334,56 +321,48 @@ class PowerSeries:
     def reciprocal(self):
         """1/self; the coefficient at the start exponent must be a unit.
 
-        The result starts at -start and is known to order - 2*start.  Over
-        Q the recurrence runs on ints over the common denominator D,
-        R_k = r_k A_0^(k+1) / D, and each result coefficient is wrapped
-        once; over any other ring it runs on the coefficients themselves.
+        The result starts at -start and is known to order - 2*start.  One
+        recurrence, R_k = -sum b_i R_{k-i}: over Q on ints, with
+        b_i = A_i A_0^(i-1) and r_k = D R_k / A_0^(k+1) wrapped once; over
+        any other ring with b_i = a_i / a_0 and r_k = R_k / a_0.
         """
         a = self.coeffs
         if not a[0]:
             raise InvalidSeries("reciprocal needs a unit leading coefficient")
         scaled = _scaled(self, a)
-        if scaled is not None:
-            return self._like(_reciprocal_over_q(*scaled), -self.start)
-        zero = self._zero
-        inv0 = ONE / a[0]
-        n = len(a) - 1
-        out = [zero] * (n + 1)
-        out[0] = inv0
-        for k in range(1, n + 1):
-            acc = zero
-            for i in range(1, k + 1):
-                ai = a[i]
-                if ai:
-                    acc = acc + ai * out[k - i]
-            out[k] = -inv0 * acc
-        return self._like(out, -self.start)
+        if scaled is None:
+            inv0 = ONE / a[0]
+            out = _reciprocal_loop([ai * inv0 for ai in a], self._zero)
+            return self._like([r * inv0 for r in out], -self.start)
+        nums, den = scaled
+        powers = _powers(nums[0], len(nums))  # A_0^k
+        b = [ai * p for ai, p in zip(nums, [0] + powers)]
+        out = _reciprocal_loop(b, 0)
+        return self._like(
+            [rat(den * r, p) for r, p in zip(out, powers[1:])], -self.start
+        )
 
     def exp(self):
         """exp(self); requires zero constant term.
 
-        Over Q the recurrence runs on ints over the common denominator D,
-        O_k = e_k k! D^k, and each result coefficient is wrapped once; over
-        any other ring it runs on the coefficients themselves.
+        One recurrence, O_k = sum c_i (k-1)!/(k-i)! O_{k-i}: over Q on ints,
+        with c_i = i A_i D^(i-1) and e_k = O_k / (k! D^k) wrapped once; over
+        any other ring with c_i = i a_i and e_k = O_k / k!.
         """
         self._require_power_series("exp")
         if self.coeffs[0]:
             raise InvalidSeries("exp needs a zero constant term")
         scaled = _scaled(self, self.coeffs)
-        if scaled is not None:
-            return self._like(_exp_over_q(*scaled), 0)
-        n = self.order
-        zero = self._zero
-        out = [zero] * (n + 1)
-        out[0] = zero + 1
-        for k in range(1, n + 1):
-            acc = zero
-            for i in range(1, k + 1):
-                ai = self.coeffs[i]
-                if ai:
-                    acc = acc + i * ai * out[k - i]
-            out[k] = acc / k
-        return self._like(out, 0)
+        if scaled is None:
+            c = [i * ai for i, ai in enumerate(self.coeffs)]
+            out = _exp_loop(c, self._zero)
+            return self._like([o / factorial(k) for k, o in enumerate(out)], 0)
+        nums, den = scaled
+        powers = _powers(den, self.order)  # D^k
+        c = [i * ai * p for i, (ai, p) in enumerate(zip(nums, [0] + powers))]
+        out = _exp_loop(c, 0)
+        scales = [factorial(k) * p for k, p in enumerate(powers)]  # k! D^k
+        return self._like([rat(o, s) for o, s in zip(out, scales)], 0)
 
     def log(self):
         """log(self); requires constant term exactly 1."""
@@ -426,9 +405,7 @@ class PowerSeries:
         if outer is None or tail is None:
             raise InvalidSeries("compose needs series over Q")
         (a, d), (tail, e) = outer, tail
-        e_powers = [1]
-        for _ in range(n):
-            e_powers.append(e_powers[-1] * e)
+        e_powers = _powers(e, n)
         step = [a[n]]
         for k in range(n - 1, -1, -1):
             step = [a[k] * e_powers[n - k]] + conv_trunc(step, tail, n - k - 1, 0)

@@ -29,12 +29,12 @@ runs there.
 """
 
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 from types import MappingProxyType
 
 from ._backend import add_into
 from .errors import InvalidSeries
-from .rational import ONE, rat
+from .rational import ONE, rat, scaled_ints
 from .records import CheckReport
 
 SECTORS = (0, 1, 2, 3)
@@ -309,20 +309,19 @@ class QuantizedS:
         """exp of the combined generator; returns {hbar_power: poly}."""
         if not self.t:
             return {0: dict(poly)} if poly else {}
-        den = lcm(*(rat(c).denominator for c in poly.values()))
+        nums, den = scaled_ints([rat(c) for c in poly.values()])
         levels = [l for mono in poly for (s, l), _ in mono if s == 0]
         if levels and min(levels) < 0:
             raise InvalidSeries("variable levels are psi-powers, >= 0")
         width = 1 + max([self.level_cap] + levels)
         scaled = {}
-        for mono, c in poly.items():
+        for mono, c in zip(poly, nums):
             e = [0] * width
             for (s, l), x in mono:
                 if s == 0:
                     e[l] = x
             rest = tuple(item for item in mono if item[0][0] != 0)
-            c = rat(c)
-            scaled[(tuple(e), rest)] = c.numerator * (den // c.denominator)
+            scaled[(tuple(e), rest)] = c
         frontier = {0: scaled}
         # powers[k] = (V + q[0,0]^2/hbar)^k of the scaled input
         powers = []

@@ -321,6 +321,15 @@ class TestTables:
         assert out == ""
         assert "error: table bound must be >= 0" in capsys.readouterr().err
 
+    def test_b_bound_takes_the_same_floor(self, capsys):
+        want = run_cli(["tables", "a", "--bound", "1", "--no-cache"])
+        assert want[0] == 0
+        assert run_cli(["--b-bound", "1", "tables", "a", "--no-cache"]) == want
+        capsys.readouterr()
+        code, out = run_cli(["--b-bound", "-1", "tables", "a", "--no-cache"])
+        assert (code, out) == (2, "")
+        assert "error: table bound must be >= 0" in capsys.readouterr().err
+
     def test_unwritable_cache_dir_keeps_result(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

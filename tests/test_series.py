@@ -382,6 +382,41 @@ class TestRationalPath:
             inner.compose(PowerSeries("z", [zero, E2, zero]))
 
 
+def lifted(f):
+    """f with every coefficient c lifted to the generator polynomial c."""
+    coeffs = [QMPolynomial.constant(c) for c in f.coeffs]
+    return PowerSeries(f.var, coeffs, f.start)
+
+
+class TestAcrossRings:
+    """Reciprocal and exp run one recurrence over Q and over the generator
+    polynomials: a series over Q and its lift give the same result."""
+
+    @staticmethod
+    def assert_same(over_q, over_qm):
+        assert (over_qm.start, over_qm.order) == (over_q.start, over_q.order)
+        want = tuple(QMPolynomial.constant(c) for c in over_q.coeffs)
+        assert over_qm.coeffs == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reciprocal(self, seed):
+        rng = random.Random(seed)
+        grid = [
+            PowerSeries("z", f.coeffs, rng.randint(-3, 3))
+            for f in rational_grid(seed)
+            if f.coeffs[0]
+        ]
+        assert any(abs(f.coeffs[0]) != 1 for f in grid)
+        assert any(f.start for f in grid)
+        for f in grid:
+            self.assert_same(f.reciprocal(), lifted(f).reciprocal())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exp(self, seed):
+        for f in rational_grid(seed, constant=ZERO):
+            self.assert_same(f.exp(), lifted(f).exp())
+
+
 class TestCoefficient:
     def test_below_start_is_zero(self):
         f = PowerSeries("z", [rat(2), rat(1)], 3)
