@@ -185,10 +185,6 @@ def cmd_gw(args, config, out):
         raise UnsupportedInsertion(
             f"--legs {args.legs} but {len(legs)} psi-powers given"
         )
-    if not legs:
-        raise UnsupportedInsertion("leg count must be >= 1")
-    if any(l < -2 for l in legs):
-        raise UnsupportedInsertion("psi-powers must be >= -2")
     value = (
         connected_stationary(legs)
         if args.connected
@@ -307,8 +303,6 @@ def cmd_tables(args, config, out):
         return 0
 
     bound = args.bound if args.bound is not None else config.b_bound
-    if bound < 0:
-        raise InvalidSeries("table bound must be >= 0")
 
     def compute():
         from .theta import b_table, weierstrass_a

@@ -212,14 +212,6 @@ def npoint(n_legs, z_order):
     if z_order < 0:
         raise InvalidSeries("z_order must be nonnegative")
     n = n_legs
-    if n == 1:
-        oot = one_over_theta(z_order + 2)
-        data = {
-            (e,): oot.coefficient(e)
-            for e in range(-1, z_order + 1)
-        }
-        return MultiZPoly(1, z_order, data)
-
     subsets = _nonempty_subsets(n)
     cap = z_order + n
 

@@ -21,13 +21,15 @@ constant and linear terms, so the relation is checked by comparing the
 commutator with (n - m) L_{n+m} term by term over that window.
 
 Polynomials are dicts mapping monomials (sorted tuples of ((sector,
-level), exponent)) to rationals; the monomial 1 is ().  The operators'
-coefficients are integers, (k+1)! and rising factorials of integers, so
-they are kept as Python ints, and so are their commutators, their integer
-multiples and the probes of the bracket check: no rational arithmetic
-runs there.
+level), exponent)) to rationals; the monomial 1 is ().  The operators and
+the quantization share this one encoding.  The operators' coefficients
+are integers, (k+1)! and rising factorials of integers, so they are kept
+as Python ints, and so are their commutators, their integer multiples,
+the probes of the bracket check and the quantization's iterate: no
+rational arithmetic runs there.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
@@ -81,17 +83,27 @@ def poly_scale(p, c):
     return {k: c * v for k, v in p.items()}
 
 
+def _mono_times(mono, var, e):
+    """mono * var^e on the sorted tuple; e may be negative, and a variable
+    whose exponent reaches 0 is dropped."""
+    i = bisect_left(mono, (var,))
+    rest = mono[i:]
+    if rest and rest[0][0] == var:
+        e += rest[0][1]
+        rest = rest[1:]
+    return mono[:i] + ((var, e),) + rest if e else mono[:i] + rest
+
+
 def poly_mul_mono(p, mono, c):
-    """Multiply a polynomial by c * (monomial)."""
-    c = rat(c)
+    """Multiply a polynomial by c * (monomial); an int c keeps int
+    coefficients ints."""
     if not c:
         return {}
     out = []
     for k, v in p.items():
-        merged = dict(k)
         for var, e in mono:
-            merged[var] = merged.get(var, 0) + e
-        out.append((tuple(sorted(merged.items())), c * v))
+            k = _mono_times(k, var, e)
+        out.append((k, c * v))
     return add_into({}, out)
 
 
@@ -130,13 +142,12 @@ class DiffOperator:
         out = []
         for mono, coeff in poly.items():
             for var, e in mono:
-                down = dict(mono)
-                down[var] = e - 1
-                for src, c in self._by_dst.get(var, ()):
-                    key = dict(down)
-                    if src:
-                        key[src] = key.get(src, 0) + 1
-                    key = tuple(sorted((v, x) for v, x in key.items() if x))
+                row = self._by_dst.get(var)
+                if not row:
+                    continue
+                down = _mono_times(mono, var, -1)
+                for src, c in row:
+                    key = _mono_times(down, src, 1) if src else down
                     out.append((key, c * e * coeff))
         return add_into({}, out)
 
@@ -258,16 +269,17 @@ class QuantizedS:
     on the truncated polynomial ring.  The squared-variable term is the
     quantization of a q^2-Hamiltonian and carries an hbar^{-1} grading;
     results are returned as {hbar_power: polynomial} with the grading
-    never summed over.  The vector-field part substitutes level k -> k+1
-    in sector 0, so it is nilpotent once levels are capped; the
-    multiplication part raises degree and is capped by MAX_DEGREE, a bound
-    on the sector-0 degree of its output.
+    never summed over.  The vector-field part, the `DiffOperator` V =
+    sum_{k < L} q[0,k+1] d/d q[0,k], substitutes level k -> k+1 in sector
+    0, so it is nilpotent once levels are capped; the multiplication part
+    raises degree and is capped by MAX_DEGREE, a bound on the sector-0
+    degree of its output.
 
     With t = a/b, the hbar^{-j} part of the N-th power of the generator is
-    (-a/b)^N / 2^j times the hbar^{-j} part of (V + q[0,0]^2/hbar)^N, V the
-    vector field with unit weights.  That power is iterated on the input
-    scaled to integer coefficients, so every coefficient stays an exact
-    integer until one final division per output monomial.
+    (-a/b)^N / 2^j times the hbar^{-j} part of (V + q[0,0]^2/hbar)^N.  That
+    power is iterated by `DiffOperator.apply` and `poly_mul_mono` on the
+    input scaled to integers, so every coefficient stays an exact int until
+    one final division per output monomial.
     """
 
     MAX_DEGREE = 6
@@ -275,65 +287,47 @@ class QuantizedS:
     def __init__(self, t, level_cap):
         self.t = rat(t)
         self.level_cap = level_cap
-
-    def _step(self, frontier):
-        """One application of V + q[0,0]^2/hbar on integer coefficients.
-
-        `frontier` maps j (the hbar^{-j} grade) to {(e, rest): int}, with e
-        the sector-0 exponents by level and rest the other sectors'
-        factors, which the generator never touches.
-        """
-        out = {}
-        for j, poly in frontier.items():
-            vec = out.setdefault(j, {})
-            mult = out.setdefault(j + 1, {})
-            for (e, rest), c in poly.items():
-                for k in range(self.level_cap):
-                    ek = e[k]
-                    if ek:
-                        f = list(e)
-                        f[k] = ek - 1
-                        f[k + 1] += 1
-                        key = (tuple(f), rest)
-                        vec[key] = vec.get(key, 0) + ek * c
-                # the truncation parameter governs only the operator's own
-                # sector: capping sector-0 degree keeps the action exactly
-                # commuting with everything built from the other sectors.
-                if sum(e) + 2 <= self.MAX_DEGREE:
-                    key = ((e[0] + 2,) + e[1:], rest)
-                    mult[key] = mult.get(key, 0) + c
-        out = {j: {k: c for k, c in p.items() if c} for j, p in out.items()}
-        return {j: p for j, p in out.items() if p}
+        self._vector_field = DiffOperator(
+            (((0, k + 1), (0, k)), 1) for k in range(level_cap)
+        )
 
     def apply(self, poly):
         """exp of the combined generator; returns {hbar_power: poly}."""
         if not self.t:
             return {0: dict(poly)} if poly else {}
-        nums, den = scaled_ints([rat(c) for c in poly.values()])
-        levels = [l for mono in poly for (s, l), _ in mono if s == 0]
-        if levels and min(levels) < 0:
+        if any(s == 0 and l < 0 for mono in poly for (s, l), _ in mono):
             raise InvalidSeries("variable levels are psi-powers, >= 0")
-        width = 1 + max([self.level_cap] + levels)
-        scaled = {}
-        for mono, c in zip(poly, nums):
-            e = [0] * width
-            for (s, l), x in mono:
-                if s == 0:
-                    e[l] = x
-            rest = tuple(item for item in mono if item[0][0] != 0)
-            scaled[(tuple(e), rest)] = c
-        frontier = {0: scaled}
-        # powers[k] = (V + q[0,0]^2/hbar)^k of the scaled input
+        nums, den = scaled_ints([rat(c) for c in poly.values()])
+        square = (((0, 0), 2),)
+        # powers[k][j] = hbar^{-j} part of (V + q[0,0]^2/hbar)^k applied to
+        # the scaled input
         powers = []
-        n = 1
+        frontier = {0: dict(zip(poly, nums))}
         while frontier:
             powers.append(frontier)
-            frontier = self._step(frontier)
-            n += 1
-            if n > (self.MAX_DEGREE + 2) * (self.level_cap + 2):
+            if len(powers) >= (self.MAX_DEGREE + 2) * (self.level_cap + 2):
                 raise InvalidSeries(
                     "quantization exponential failed to terminate"
                 )
+            step = {}
+            for j, p in frontier.items():
+                add_into(
+                    step.setdefault(j, {}), self._vector_field.apply(p).items()
+                )
+                # the truncation parameter governs only the operator's own
+                # sector: capping sector-0 degree keeps the action exactly
+                # commuting with everything built from the other sectors.
+                low = {
+                    mono: c
+                    for mono, c in p.items()
+                    if sum(x for (s, _), x in mono if s == 0)
+                    <= self.MAX_DEGREE - 2
+                }
+                add_into(
+                    step.setdefault(j + 1, {}),
+                    poly_mul_mono(low, square, 1).items(),
+                )
+            frontier = {j: p for j, p in step.items() if p}
         # with t = a/b and N the last power, sum_k (-t)^k/k! powers[k] is
         # sum_k (-a)^k b^(N-k) N!/k! powers[k] / (b^N N!)
         a, b = self.t.numerator, self.t.denominator
@@ -342,21 +336,16 @@ class QuantizedS:
         for k in range(1, top + 1):
             weights.append(weights[-1] * -a // (b * k))
         base = den * weights[0]
-        variables = [(0, l) for l in range(width)]
-        graded = {}
-        for j in range(top + 1):
-            acc = {}
-            for w, power in zip(weights, powers):
-                for key, c in power.pop(j, {}).items():
-                    acc[key] = acc.get(key, 0) + w * c
-            out = {}
-            for (e, rest), c in acc.items():
-                if c:
-                    s0 = tuple((variables[l], x) for l, x in enumerate(e) if x)
-                    out[s0 + rest] = rat(c, base << j)
-            if out:
-                graded[-j] = out
-        return graded
+        sums = {}
+        for w, power in zip(weights, powers):
+            for j, p in power.items():
+                acc = sums.setdefault(j, {})
+                add_into(acc, ((m, w * c) for m, c in p.items()))
+        return {
+            -j: {m: rat(c, base << j) for m, c in acc.items()}
+            for j, acc in sums.items()
+            if acc
+        }
 
 
 def quantization_S(t, level_cap):

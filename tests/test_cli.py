@@ -101,11 +101,15 @@ class TestGwCommands:
         )
         assert code == 2
 
-    def test_bad_psi_power_exit_2(self):
-        code, _ = run_cli(
-            ["gw", "npoint", "--legs", "1", "--psi", "-5", "--no-cache"]
-        )
-        assert code == 2
+    def test_bad_psi_power_exit_2(self, capsys):
+        for argv in (
+            ["--legs", "1", "--psi", "-5"],
+            ["--legs", "2", "--psi", "0,-3", "--connected"],
+        ):
+            code, out = run_cli(["gw", "npoint", *argv, "--no-cache"])
+            assert (code, out) == (2, ""), argv
+            err = capsys.readouterr().err
+            assert err == "error: psi-powers must be >= -2\n", argv
 
     @pytest.mark.parametrize("psi, bad", [("0,x", "'x'"), ("0.5,1", "'0.5'")])
     def test_non_integer_psi_exit_2(self, psi, bad, capsys):

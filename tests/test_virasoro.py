@@ -1,3 +1,4 @@
+import random
 from math import factorial
 
 import pytest
@@ -156,7 +157,78 @@ class TestBracket:
         assert virasoro_commutator_check(1, -1, 10, "curve").passed is False
 
 
+def _mono(exponents):
+    return tuple(sorted((v, e) for v, e in exponents.items() if e))
+
+
+def oracle_quantization(t, level_cap, max_degree, poly):
+    """sum_N G^N p / N! with G = -t (q[0,0]^2 / (2 hbar) + V), term by
+    term on plain dict polynomials with Fraction coefficients.  V = sum_{k
+    < level_cap} q[0,k+1] d/d q[0,k]; the square multiplies only monomials
+    of sector-0 degree <= max_degree - 2.  Returns {hbar_power: poly}."""
+    t = Rational(t)
+
+    def generator(graded):
+        out = {}
+        for (h, mono), c in graded.items():
+            exponents = dict(mono)
+            for (s, l), e in mono:
+                if s == 0 and l < level_cap:
+                    shifted = dict(exponents)
+                    shifted[(0, l)] -= 1
+                    shifted[(0, l + 1)] = shifted.get((0, l + 1), 0) + 1
+                    key = (h, _mono(shifted))
+                    out[key] = out.get(key, 0) - t * e * c
+            if sum(e for (s, _), e in mono if s == 0) + 2 <= max_degree:
+                squared = dict(exponents)
+                squared[(0, 0)] = squared.get((0, 0), 0) + 2
+                key = (h - 1, _mono(squared))
+                out[key] = out.get(key, 0) - t * c / 2
+        return {key: c for key, c in out.items() if c}
+
+    term = {(0, mono): Rational(c) for mono, c in poly.items()}
+    total = dict(term)
+    n = 0
+    while term:
+        n += 1
+        term = {key: c / n for key, c in generator(term).items()}
+        for key, c in term.items():
+            total[key] = total.get(key, 0) + c
+    graded = {}
+    for (h, mono), c in total.items():
+        if c:
+            graded.setdefault(h, {})[mono] = c
+    return graded
+
+
+def _random_poly(rng, level_cap):
+    """Up to four terms over every sector, levels up to level_cap + 1."""
+    poly = {}
+    for _ in range(rng.randint(0, 4)):
+        exponents = {}
+        for _ in range(rng.randint(0, 3)):
+            var = (rng.choice((0, 0, 1, 2, 3)), rng.randint(0, level_cap + 1))
+            exponents[var] = exponents.get(var, 0) + rng.randint(1, 2)
+        c = rat(rng.randint(-9, 9), rng.randint(1, 6))
+        if c:
+            poly[_mono(exponents)] = c
+    return poly
+
+
 class TestQuantization:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_fraction_series(self, seed):
+        rng = random.Random(seed)
+        cases = [(rat(1, 2), 3, {}), (rat(-2, 3), 2, poly_const(5))]
+        for _ in range(12):
+            level_cap = rng.randint(0, 5)
+            t = rat(rng.randint(-5, 5), rng.randint(1, 4))
+            cases.append((t, level_cap, _random_poly(rng, level_cap)))
+        for t, level_cap, poly in cases:
+            op = quantization_S(t, level_cap)
+            want = oracle_quantization(t, level_cap, op.MAX_DEGREE, poly)
+            assert op.apply(poly) == want, (t, level_cap, poly)
+
     def test_zero_parameter_is_identity(self):
         op = quantization_S(0, 5)
         probe = poly_add(poly_var(0, 2), poly_const(3))
