@@ -50,7 +50,6 @@ _EXPORTS = {
         "extract_fjrw_invariants",
         "fjrw_correlation",
         "fjrw_onepoint_all_genus",
-        "genus_zero_data",
     ),
     "anomaly": ("d_dC2", "hae_onepoint_check", "prime_form_anomaly_check"),
     "virasoro": ("quantization_S", "virasoro_commutator_check", "virasoro_op"),

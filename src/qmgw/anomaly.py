@@ -11,11 +11,8 @@ The full n-point anomaly equation involves non-stationary insertions and
 is not implemented; only the one-point specialization is checked.
 """
 
-from math import factorial
-
 from .cayley import cayley_frame, cayley_transform, fjrw_onepoint_all_genus
 from .modular import QMPolynomial
-from .rational import rat
 from .records import CheckReport
 from .theta import one_over_theta, onepoint_qm, prime_form
 
@@ -81,8 +78,3 @@ def hae_onepoint_check(g_max=7, frame=None):
         )
     return report
 
-
-def anomaly_power_rule_example(g):
-    """(-E2/24)^g / g! differentiates to the (g-1) analogue."""
-    c2_power = (QMPolynomial.e2() * rat(-1, 24)) ** g * rat(1, factorial(g))
-    return d_dC2(c2_power)

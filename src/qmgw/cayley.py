@@ -4,7 +4,7 @@ The transformation is implemented purely algebraically: the generators are
 replaced by their expansions around the elliptic point, computed from the
 s-frame Chazy solution and the Ramanujan identities with the plain d/ds
 derivative.  The transcendental data pinning the expansion point are never
-evaluated; they are recorded as documentation strings on the frame.
+evaluated; `CayleyFrame`'s docstring records them.
 """
 
 from collections import namedtuple
@@ -21,25 +21,12 @@ from .chazy import (
 from .errors import InsufficientOrder, InvalidSeries, UnsupportedInsertion
 from .modular import qm_eval
 from .npoint import connected_stationary
-from .rational import ONE, ZERO, rat
+from .rational import rat
 from .series import PowerSeries
 from .theta import onepoint_from_b
 
-TAU_STAR_NOTE = "tau* = -(i/sqrt(3)) * exp(2*pi*i/3)  (elliptic point, not evaluated)"
-SCALE_NOTE = (
-    "c = (1/(2*pi*i)) * Gamma(1/3)/Gamma(2/3)^2 * exp(-pi*i/3)"
-    "  (disk-coordinate scale, not evaluated)"
-)
-
-EVEN_LABELS = ("1", "phi")
 ODD_LABELS = ("b1", "b2")
-LABELS = EVEN_LABELS + ODD_LABELS
-
-#: degree of each state-space element (the grading entering selection rules)
-DEGREES = {"1": 0, "b1": 1, "b2": 1, "phi": 2}
-
-#: label translation of the state-space isomorphism, curve side -> cubic side
-PSI_MAP = {"1": "1", "omega": "phi", "e1": "b1", "e2": "b2"}
+LABELS = ("1", "phi") + ODD_LABELS
 
 
 class FjrwInsertion(namedtuple("FjrwInsertion", "label psi")):
@@ -53,14 +40,14 @@ class FjrwInsertion(namedtuple("FjrwInsertion", "label psi")):
         return super().__new__(cls, label, psi)
 
 
-class CayleyFrame(
-    namedtuple(
-        "CayleyFrame",
-        "e2 e4 e6 tau_star scale",
-        defaults=(TAU_STAR_NOTE, SCALE_NOTE),
-    )
-):
-    """s-expansions of the three generators around the elliptic point."""
+class CayleyFrame(namedtuple("CayleyFrame", "e2 e4 e6")):
+    """s-expansions of the three generators around the elliptic point.
+
+    Neither the point nor the disk-coordinate scale is evaluated:
+
+        tau* = -(i/sqrt(3)) * exp(2*pi*i/3),
+        c = (1/(2*pi*i)) * Gamma(1/3)/Gamma(2/3)^2 * exp(-pi*i/3).
+    """
 
     __slots__ = ()
 
@@ -110,21 +97,13 @@ def cayley_frame(order):
     return frame
 
 
-def cayley_transform(p, frame, order=None):
+def cayley_transform(p, frame):
     """Substitute the frame images for the generators of a QMPolynomial.
 
     Through `qm_eval`: Horner in CE2 over cached CE4^b CE6^c columns, one
     product per column not cached yet and one per Horner step.
     """
-    if order is None:
-        order = frame.order
-    if order > frame.order:
-        raise InsufficientOrder(
-            f"frame order {frame.order} < requested {order}",
-            required=order,
-        )
-    gens = tuple(g.truncate(order) for g in frame.gens())
-    return qm_eval(p, order, gens=gens)
+    return qm_eval(p, frame.order, gens=frame.gens())
 
 
 def fjrw_onepoint_all_genus(g, frame):
@@ -186,54 +165,3 @@ def fjrw_primary_genus1_invariants(max_n):
     series = fjrw_genus1_series(max(max_n, 2))
     values = extract_fjrw_invariants(series, base_n=1, max_m=max_n - 1)
     return values[:max_n]
-
-
-class GenusZeroData(namedtuple("GenusZeroData", "pairings")):
-    """Primary genus-zero data: the residue pairing values and the
-    statement that every primary genus-zero value with n >= 4 vanishes."""
-
-    __slots__ = ()
-
-    def pairing(self, a, b, c):
-        for (x, y, z), v in self.pairings:
-            if (x, y, z) == (a, b, c):
-                return v
-        return ZERO
-
-    def primary_value(self, labels):
-        """Primary genus-zero FJRW value for the ordered labels."""
-        labels = tuple(labels)
-        if len(labels) >= 4:
-            return ZERO
-        if len(labels) == 3:
-            return self.pairing(*labels)
-        raise InvalidSeries("genus-zero correlators need n >= 3")
-
-
-def genus_zero_data():
-    return GenusZeroData(
-        pairings=(
-            (("1", "1", "phi"), ONE),
-            (("1", "phi", "1"), ONE),
-            (("phi", "1", "1"), ONE),
-            (("1", "b1", "b2"), ONE),
-            (("1", "b2", "b1"), -ONE),
-        )
-    )
-
-
-__all__ = [
-    "CayleyFrame",
-    "FjrwInsertion",
-    "GenusZeroData",
-    "PSI_MAP",
-    "DEGREES",
-    "cayley_frame",
-    "cayley_transform",
-    "fjrw_correlation",
-    "fjrw_onepoint_all_genus",
-    "extract_fjrw_invariants",
-    "fjrw_primary_genus1_invariants",
-    "fjrw_genus1_series",
-    "genus_zero_data",
-]

@@ -8,21 +8,14 @@ genus-one FJRW series is -1/24 times the s-frame solution whose second
 derivative is fixed by the initial three-insertion invariant.
 """
 
-from collections import namedtuple
-
 from .errors import InvalidSeries
 from .rational import ZERO, rat
+# D_DS and THETA_Q are read from here too, as the two frames' derivatives
 from .series import D_DS, DERIVE_MODES, THETA_Q, PowerSeries
 
 #: the one nonzero primary genus-one invariant with three insertions,
 #: consumed as an input constant.
 THETA_1_3 = rat(1, 108)
-
-
-class ChazyInitialData(namedtuple("ChazyInitialData", "f0 f1 f2")):
-    """f(0), f'(0), f''(0) of a formal s-frame solution."""
-
-    __slots__ = ()
 
 
 def chazy_residual(f, mode):
@@ -54,7 +47,8 @@ def bp_residual(g, mode):
 
 
 def chazy_solve_s(init, order):
-    """The unique formal solution in s with the given initial data.
+    """The unique formal solution in s with initial data
+    `init` = (f(0), f'(0), f''(0)):
 
     a0 = f(0), a1 = f'(0), a2 = f''(0)/2, and for k >= 0
         2 (k+1)(k+2)(k+3) a_{k+3} = [s^k] (2 f f'' - 3 (f')^2),
@@ -62,9 +56,8 @@ def chazy_solve_s(init, order):
     """
     if order < 2:
         raise InvalidSeries("chazy_solve_s needs order >= 2")
-    if not isinstance(init, ChazyInitialData):
-        init = ChazyInitialData(*init)
-    a = [rat(init.f0), rat(init.f1), rat(init.f2) / 2]
+    f0, f1, f2 = init
+    a = [rat(f0), rat(f1), rat(f2) / 2]
     for k in range(order - 2):
         # [s^k] of 2 f f'':  f_i * (j+2)(j+1) f_{j+2} over i + j = k
         acc = ZERO
@@ -81,31 +74,19 @@ def chazy_solve_s(init, order):
     return PowerSeries("s", a[: order + 1])
 
 
-def genus_one_initial_data(theta_1_3=THETA_1_3):
+def genus_one_initial_data():
     """Initial triple for f = -24 <<phi>> built from the input invariant.
 
     <<phi>>(s) = sum_m s^m/m! * Theta_{1,m+1} with Theta_{1,1} and
     Theta_{1,2} zero, so f(0) = f'(0) = 0 and f''(0) = -24 * Theta_{1,3}.
     """
-    return ChazyInitialData(ZERO, ZERO, -24 * rat(theta_1_3))
+    return ZERO, ZERO, -24 * THETA_1_3
 
 
-def fjrw_genus1_series(order, theta_1_3=THETA_1_3):
+def fjrw_genus1_series(order):
     """<<phi>>_{1,1}(s) = -1/24 of the s-frame Chazy solution."""
     if order < 2:
         raise InvalidSeries("fjrw_genus1_series needs order >= 2")
-    f = chazy_solve_s(genus_one_initial_data(theta_1_3), order)
+    f = chazy_solve_s(genus_one_initial_data(), order)
     return f * rat(-1, 24)
 
-
-__all__ = [
-    "ChazyInitialData",
-    "THETA_1_3",
-    "chazy_residual",
-    "bp_residual",
-    "chazy_solve_s",
-    "genus_one_initial_data",
-    "fjrw_genus1_series",
-    "THETA_Q",
-    "D_DS",
-]

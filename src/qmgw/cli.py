@@ -35,7 +35,6 @@ def _add_common(parser, leaf=False):
     parser.add_argument("--order", type=int, default=d, help="q-order")
     parser.add_argument("--s-order", type=int, default=d)
     parser.add_argument("--z-order", type=int, default=d)
-    parser.add_argument("--b-bound", type=int, default=d)
     parser.add_argument("--margin", type=int, default=d)
     parser.add_argument("--format", choices=FORMATS, default=d, dest="fmt")
     parser.add_argument("--cache-dir", default=d)
@@ -99,7 +98,7 @@ def build_parser():
     tab.add_argument(
         "table", choices=["a", "b", "eisenstein"], help="which table"
     )
-    tab.add_argument("--bound", type=int, default=None)
+    tab.add_argument("--bound", type=int, default=14)
     tab.add_argument("--k", type=int, default=2, help="Eisenstein weight")
     return parser
 
@@ -109,7 +108,6 @@ _CONFIG_FIELDS = {
     "order": "q_order",
     "s_order": "s_order",
     "z_order": "z_order",
-    "b_bound": "b_bound",
     "margin": "margin",
     "fmt": "fmt",
     "cache_dir": "cache_dir",
@@ -302,12 +300,10 @@ def cmd_tables(args, config, out):
         _emit([record], config, out)
         return 0
 
-    bound = args.bound if args.bound is not None else config.b_bound
-
     def compute():
         from .theta import b_table, weierstrass_a
 
-        return (weierstrass_a if args.table == "a" else b_table)(bound)
+        return (weierstrass_a if args.table == "a" else b_table)(args.bound)
 
     def encode(table):
         return [[m, n, rat_str(v)] for (m, n), v in sorted(table.items())]
@@ -318,7 +314,7 @@ def cmd_tables(args, config, out):
     table = cached(
         config,
         f"weierstrass-{args.table}",
-        {"bound": bound},
+        {"bound": args.bound},
         compute,
         encode,
         decode,

@@ -39,7 +39,7 @@ def default_cache_dir():
 class RunConfig(
     namedtuple(
         "RunConfig",
-        "q_order s_order z_order b_bound margin cache_dir fmt no_cache",
+        "q_order s_order z_order margin cache_dir fmt no_cache",
     )
 ):
     """Validated, immutable run settings; `cache_dir` defaults to
@@ -52,7 +52,6 @@ class RunConfig(
         q_order=24,
         s_order=16,
         z_order=14,
-        b_bound=14,
         margin=10,
         cache_dir=None,
         fmt="json",
@@ -70,11 +69,8 @@ class RunConfig(
                 raise InsufficientOrder(
                     f"{name} must be >= {floor}", required=floor
                 )
-        if b_bound < 0:
-            raise InvalidSeries("table bound must be >= 0")
         if margin < 1:
             raise InvalidSeries("verification margin must be >= 1")
         return super().__new__(
-            cls, q_order, s_order, z_order, b_bound, margin, cache_dir, fmt,
-            no_cache,
+            cls, q_order, s_order, z_order, margin, cache_dir, fmt, no_cache
         )

@@ -9,7 +9,6 @@ solutions and inverts the flat coordinate to locate alpha among the
 series reversion of the mirror map.
 """
 
-from collections import namedtuple
 from math import isqrt
 
 from .errors import InsufficientOrder, InvalidSeries
@@ -19,15 +18,10 @@ from .records import CheckReport
 from .series import THETA_Q, PowerSeries
 
 
-class HypergeometricParams(namedtuple("HypergeometricParams", "a b c")):
-    __slots__ = ()
-
-
 def hyp2f1(params, order):
-    """2F1(a, b; c; x) = sum (a)_l (b)_l / ((c)_l l!) x^l, truncated."""
-    if not isinstance(params, HypergeometricParams):
-        params = HypergeometricParams(*params)
-    a, b, c = rat(params.a), rat(params.b), rat(params.c)
+    """2F1(a, b; c; x) = sum (a)_l (b)_l / ((c)_l l!) x^l, truncated;
+    `params` = (a, b, c)."""
+    a, b, c = map(rat, params)
     coeffs = [ONE]
     term = ONE
     for l in range(order):

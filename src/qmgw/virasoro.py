@@ -177,6 +177,8 @@ class DiffOperator:
 def virasoro_op(theory, k, level_cap):
     """The Virasoro operator of the theory, truncated to levels <= cap.
 
+    `theory` only validates the name: both theories share the one operator
+    shape above, so this one builder makes the same operator for each.
     Built once per (theory, k, cap); the cached operator is read-only.
     """
     if theory not in THEORIES:
@@ -261,6 +263,11 @@ def theories_structurally_equal(k, level_cap):
 # quantization
 
 
+def _degree0(mono):
+    """Sector-0 degree of a monomial."""
+    return sum(x for (s, _), x in mono if s == 0)
+
+
 class QuantizedS:
     """Action of the ancestor/descendent quantization operator
 
@@ -273,7 +280,9 @@ class QuantizedS:
     sum_{k < L} q[0,k+1] d/d q[0,k], substitutes level k -> k+1 in sector
     0, so it is nilpotent once levels are capped; the multiplication part
     raises degree and is capped by MAX_DEGREE, a bound on the sector-0
-    degree of its output.
+    degree of its output.  On a monomial of sector-0 degree d, V applies
+    at most max(d, MAX_DEGREE) * L times and the multiplication at most
+    MAX_DEGREE // 2 times, which bounds the number of nonzero powers.
 
     With t = a/b, the hbar^{-j} part of the N-th power of the generator is
     (-a/b)^N / 2^j times the hbar^{-j} part of (V + q[0,0]^2/hbar)^N.  That
@@ -298,6 +307,8 @@ class QuantizedS:
         if any(s == 0 and l < 0 for mono in poly for (s, l), _ in mono):
             raise InvalidSeries("variable levels are psi-powers, >= 0")
         nums, den = scaled_ints([rat(c) for c in poly.values()])
+        degree = max([self.MAX_DEGREE] + [_degree0(mono) for mono in poly])
+        limit = degree * self.level_cap + self.MAX_DEGREE // 2 + 1
         square = (((0, 0), 2),)
         # powers[k][j] = hbar^{-j} part of (V + q[0,0]^2/hbar)^k applied to
         # the scaled input
@@ -305,7 +316,7 @@ class QuantizedS:
         frontier = {0: dict(zip(poly, nums))}
         while frontier:
             powers.append(frontier)
-            if len(powers) >= (self.MAX_DEGREE + 2) * (self.level_cap + 2):
+            if len(powers) > limit:
                 raise InvalidSeries(
                     "quantization exponential failed to terminate"
                 )
@@ -320,8 +331,7 @@ class QuantizedS:
                 low = {
                     mono: c
                     for mono, c in p.items()
-                    if sum(x for (s, _), x in mono if s == 0)
-                    <= self.MAX_DEGREE - 2
+                    if _degree0(mono) <= self.MAX_DEGREE - 2
                 }
                 add_into(
                     step.setdefault(j + 1, {}),

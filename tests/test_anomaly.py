@@ -1,7 +1,6 @@
 import pytest
 
 from qmgw.anomaly import (
-    anomaly_power_rule_example,
     d_dC2,
     hae_onepoint_check,
     prime_form_anomaly_check,
@@ -25,7 +24,7 @@ class TestAnomalyDerivative:
         from math import factorial
 
         for g in range(1, 6):
-            got = anomaly_power_rule_example(g)
+            got = d_dC2(C2 ** g / factorial(g))
             want = C2 ** (g - 1) / factorial(g - 1)
             assert got == want
 

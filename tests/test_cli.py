@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qmgw import cache
-from qmgw.cli import main
+from qmgw.cli import build_parser, main
 from qmgw.modular import E2, ramanujan_derive
 from qmgw.rational import rat, rat_str
 
@@ -211,16 +212,13 @@ class TestFjrwCommands:
         err = capsys.readouterr().err
         assert "s-order must be >= 3" in err  # names the minimal order
 
-    @pytest.mark.parametrize("b_bound", [None, "2"])
-    def test_b_bound_does_not_limit_the_genus(self, b_bound):
-        # the table is always the exact b_table(2g), as gw onepoint reads it
+    def test_table_default_does_not_limit_the_genus(self):
+        # the table is always the exact b_table(2g), as gw onepoint reads
+        # it: genus 8 needs bound 16, past the `tables --bound` default
         from qmgw.cayley import cayley_frame, cayley_transform
         from qmgw.theta import onepoint_from_b
 
-        flags = [] if b_bound is None else ["--b-bound", b_bound]
-        code, out = run_cli(
-            ["fjrw", "onepoint", "--genus", "8", "--no-cache"] + flags
-        )
+        code, out = run_cli(["fjrw", "onepoint", "--genus", "8", "--no-cache"])
         assert code == 0
         (record,) = parse_json_lines(out)
         want = cayley_transform(onepoint_from_b(8), cayley_frame(16))
@@ -325,14 +323,11 @@ class TestTables:
         assert out == ""
         assert "error: table bound must be >= 0" in capsys.readouterr().err
 
-    def test_b_bound_takes_the_same_floor(self, capsys):
-        want = run_cli(["tables", "a", "--bound", "1", "--no-cache"])
+    @pytest.mark.parametrize("table", ["a", "b"])
+    def test_default_bound_is_14(self, table):
+        want = run_cli(["tables", table, "--bound", "14", "--no-cache"])
         assert want[0] == 0
-        assert run_cli(["--b-bound", "1", "tables", "a", "--no-cache"]) == want
-        capsys.readouterr()
-        code, out = run_cli(["--b-bound", "-1", "tables", "a", "--no-cache"])
-        assert (code, out) == (2, "")
-        assert "error: table bound must be >= 0" in capsys.readouterr().err
+        assert run_cli(["tables", table, "--no-cache"]) == want
 
     def test_unwritable_cache_dir_keeps_result(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -541,6 +536,19 @@ def readme_commands():
 class TestReadme:
     def test_cli_block_has_examples(self):
         assert len(readme_commands()) >= 10
+
+    def test_global_flags_match_the_parser(self):
+        text = (TESTS.parent / "README.md").read_text()
+        sentence = text.split("Global flags", 1)[1].split(". ", 1)[0]
+        documented = re.findall(r"`(--[a-z-]+)", sentence)
+        parser = build_parser()
+        options = [
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        ]
+        assert documented == options
 
     @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
     def test_cli_example_runs(self, argv):

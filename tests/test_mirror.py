@@ -4,7 +4,6 @@ import pytest
 
 from qmgw.errors import InsufficientOrder, InvalidSeries
 from qmgw.mirror import (
-    HypergeometricParams,
     alpha,
     appendix_identity_checks,
     borwein_a,
@@ -37,7 +36,7 @@ class TestHyp2F1:
 
     def test_pole_in_lower_parameter(self):
         with pytest.raises(InvalidSeries):
-            hyp2f1(HypergeometricParams(ONE, ONE, rat(-2)), 6)
+            hyp2f1((ONE, ONE, rat(-2)), 6)
 
     def test_geometric_case(self):
         # 2F1(1, b; b; x) = 1/(1-x)

@@ -262,6 +262,14 @@ class TestQuantization:
         }
         assert lhs == rhs
 
+    def test_high_degree_input_runs_to_the_end(self):
+        # q[0,0]^11 at cap 6 needs 67 powers; the termination bound is
+        # max(11, MAX_DEGREE) * 6 + MAX_DEGREE // 2 + 1 = 70
+        op = quantization_S(rat(1, 2), 6)
+        poly = {(((0, 0), 11),): 1}
+        want = oracle_quantization(rat(1, 2), 6, op.MAX_DEGREE, poly)
+        assert op.apply(poly) == want
+
     def test_refuses_negative_levels(self):
         with pytest.raises(InvalidSeries):
             quantization_S(rat(1, 2), 5).apply(poly_var(0, -1))
