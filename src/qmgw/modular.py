@@ -268,7 +268,10 @@ def qm_eval(p, order, gens=None):
     p's largest E2 exponent, an empty row included.  Each column is one
     product of a cached predecessor (`_column`, shared across calls per
     generator pair), so an evaluation also costs one product per column
-    not cached yet; scaling by a coefficient is termwise.
+    not cached yet; scaling by a coefficient is termwise.  On the default
+    frame every generator is integral, so each Horner step (a rational
+    row times E2) and each column product runs on ints
+    (`PowerSeries.__mul__`).
     """
     if gens is None:
         gens = (eisenstein(2, order), eisenstein(4, order), eisenstein(6, order))
@@ -388,15 +391,17 @@ def _solve_fraction_free(matrix, rhs):
     return y, prev * scale
 
 
-def quasimodularize(f, w, margin=10):
+def quasimodularize(f, w, margin=10, basis=None):
     """Fit a q-series to the weight-w basis {E2^a E4^b E6^c : 2a+4b+6c=w}.
 
     The first dim-many coefficients determine the candidate by an exact
     fraction-free solve against the integer basis expansions; all
     remaining available coefficients must then match (at least `margin`
     of them, so membership is distinguished from an underdetermined fit).
+    `basis`, a subset of those monomials, fits on it alone.
     """
-    basis = weight_basis(w)
+    if basis is None:
+        basis = weight_basis(w)
     if not basis:
         raise NotQuasiModular(f"no monomials exist at weight {w}")
     dim = len(basis)
@@ -433,16 +438,12 @@ def quasimodularize(f, w, margin=10):
 
 @lru_cache(maxsize=None)
 def reduce_e2k(k):
-    """E_k (k >= 4 even) in the generators, fitted at margin 10; E2-free."""
+    """E_k (k >= 4 even) in E4 and E6: E_k is modular, so it is fitted at
+    margin 10 on the monomials E4^b E6^c of weight k alone."""
     if k < 4 or k % 2:
         raise InvalidSeries("reduce_e2k needs an even weight >= 4")
-    dim = len(weight_basis(k))
-    p = quasimodularize(eisenstein(k, dim + 10), k)
-    if p.max_e2_exponent() != 0:
-        raise NotQuasiModular(
-            f"E_{k} reduction unexpectedly involves E2 (internal error)"
-        )
-    return p
+    basis = tuple(key for key in weight_basis(k) if not key[0])
+    return quasimodularize(eisenstein(k, len(basis) + 10), k, basis=basis)
 
 
 def theta_q(f):

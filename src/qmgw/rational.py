@@ -23,15 +23,9 @@ def rat(num, den=1):
     return Rational(num, den)
 
 
-def numerators(values):
-    """The numerators of `values` if each is a Fraction with denominator 1,
-    else None."""
-    out = []
-    for x in values:
-        if type(x) is not Rational or x.denominator != 1:
-            return None
-        out.append(x.numerator)
-    return out
+def integral(values):
+    """Whether each of `values` is a Fraction with denominator 1."""
+    return all(type(x) is Rational and x.denominator == 1 for x in values)
 
 
 def scaled_ints(values):

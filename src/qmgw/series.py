@@ -15,13 +15,19 @@ known to the smaller of the two orders, and a product to
 tags are enforced at runtime so q-frame and s-frame objects cannot be
 mixed by accident.
 
-Integral series multiply over ZZ.  When both factors are series over Q
-(both zeros are the rational zero) and every coefficient of both has
-denominator 1, as for E2, E4, E6, the Euler product and the theta
-quotients, a product convolves the integer numerators and wraps each
-result once as a Fraction, with no gcd.  The rule looks only at the
-operands' own coefficients: any other pair takes the Fraction path, with
-the same result.
+A product with an integral factor runs over ZZ.  When both factors are
+series over Q (both zeros are the rational zero) and every coefficient of
+one of them has denominator 1, as for E2, E4, E6, the Euler product and
+the theta quotients, the other factor is scaled to integers over its least
+common denominator D, the two integer lists are convolved, and each result
+is wrapped once as a Fraction over D (with no gcd when D = 1).  This is
+the Horner step of `modular.qm_eval`, a rational row times E2.  The rule
+looks only at the operands' own coefficients, integrality first, so two
+non-integral factors are not scaled: they take the Fraction path, with
+the same result.  Scaling both factors is faster too, but it waits for
+perfbench to measure its worker's own memory: on `tower-session` it
+pushed `peak_rss_mb` past its bound through memory that `run.py` itself
+holds (ROADMAP directions 1 and 5).
 
 The reciprocal and exp are one recurrence each, run by one loop over
 every ring; the rings differ only in how the operand is scaled in and the
@@ -49,7 +55,7 @@ from math import factorial
 from numbers import Number
 
 from .errors import InsufficientOrder, InvalidSeries, VariableMismatch
-from .rational import ONE, ZERO, from_ints, numerators, rat, scaled_ints
+from .rational import ONE, ZERO, from_ints, integral, rat, scaled_ints
 from ._backend import conv_trunc
 
 VARIABLES = ("q", "s", "t", "x", "z")
@@ -67,15 +73,22 @@ def _check_tag(var):
         raise InvalidSeries(f"unknown variable tag {var!r}")
 
 
-def _int_coeffs(f):
-    """f's coefficients as ints, if f is over Q (its zero is the rational
-    ZERO) and each is an integer; else None."""
-    return numerators(f.coeffs) if f._zero is ZERO else None
-
-
 def _scaled(f, coeffs):
     """(nums, den) for `coeffs`, some of f's, if f is over Q; else None."""
     return scaled_ints(coeffs) if f._zero is ZERO else None
+
+
+def _product_ints(f, g):
+    """(F, G, D) with f * g = (F * G) / D on int lists, if f and g are over
+    Q and one of them is integral: D is the other's least common
+    denominator.  Else None; two non-integral factors are not scaled."""
+    for x, y in ((f, g), (g, f)):
+        if x._zero is ZERO and integral(x.coeffs):
+            scaled = _scaled(y, y.coeffs)
+            if scaled is None:
+                return None
+            return [c.numerator for c in x.coeffs], *scaled
+    return None
 
 
 def _powers(x, n):
@@ -275,9 +288,10 @@ class PowerSeries:
     def __mul__(self, other):
         """Product with a scalar or a series in the same variable.
 
-        Two series over Q whose coefficients are all integers are
-        convolved over ZZ, each result coefficient wrapped once; any other
-        pair over its coefficients' own ring.
+        Two series over Q of which one is integral are convolved over ZZ,
+        the other scaled to its least common denominator D and each result
+        coefficient wrapped once over D; any other pair, two non-integral
+        series over Q included, over its coefficients' own ring.
         """
         if not isinstance(other, PowerSeries):
             if isinstance(other, _SCALARS):
@@ -286,12 +300,13 @@ class PowerSeries:
         self._check_var(other)
         start = self.start + other.start
         order = min(self.order + other.start, other.order + self.start)
-        a = _int_coeffs(self)
-        b = None if a is None else _int_coeffs(other)
-        if b is None:
+        ints = _product_ints(self, other)
+        if ints is None:
             out = conv_trunc(self.coeffs, other.coeffs, order - start, self._zero)
         else:
-            out = from_ints(conv_trunc(a, b, order - start, 0))
+            a, b, den = ints
+            out = conv_trunc(a, b, order - start, 0)
+            out = from_ints(out) if den == 1 else [rat(c, den) for c in out]
         return self._like(out, start)
 
     __rmul__ = __mul__

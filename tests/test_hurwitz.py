@@ -11,9 +11,16 @@ import pytest
 
 from qmgw.errors import InvalidSeries
 from qmgw.hurwitz import _unpack, bracket
-from qmgw.modular import E2, bernoulli, euler_coefficients, ramanujan_derive
+from qmgw.modular import (
+    E2,
+    bernoulli,
+    euler_coefficients,
+    qm_eval,
+    ramanujan_derive,
+)
 from qmgw.npoint import connected_stationary, npoint, stationary_invariant
 from qmgw.rational import rat
+from qmgw.theta import onepoint_from_b
 
 C2 = E2 * rat(-1, 24)
 
@@ -230,3 +237,16 @@ class TestAnyLegCount:
         for _ in range(n_legs - 1):
             expected = ramanujan_derive(expected)
         assert connected_stationary((0,) * n_legs) == expected
+
+
+class TestServedQExpansion:
+    """`gw onepoint --q-expand` prints qm_eval(onepoint_from_b(g), order):
+    the b-table's polynomial, expanded by Horner over E2 on ints.  The
+    one-leg bracket of the exponent 2g - 1 shares neither the b-table nor
+    a series product, and gives the same coefficients."""
+
+    @pytest.mark.parametrize("genus", [1, 2, 5, 7, 10])
+    def test_equals_the_one_leg_bracket(self, genus):
+        served = qm_eval(onepoint_from_b(genus), 100)
+        assert (served.start, served.order) == (0, 100)
+        assert served.coeffs == bracket((2 * genus - 1,), 100)

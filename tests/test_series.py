@@ -222,11 +222,12 @@ def reference_reciprocal(f):
 
 def integral_grid(seed):
     """Seeded z-series: integral ones (zero and negative entries, some with
-    a +-1 constant), rational ones, and integral ones whose last coefficient
-    alone is not; unequal orders and Laurent starts -3..3."""
+    a +-1 constant), rational ones (one entry at least not an integer), and
+    integral ones whose last coefficient alone is not; unequal orders and
+    Laurent starts -3..3, every kind below 0 in the first round."""
     rng = random.Random(seed)
     out = []
-    for kind in ("integral", "unit", "rational", "last") * 4:
+    for i, kind in enumerate(("integral", "unit", "rational", "last") * 4):
         n = rng.randint(0, 12)
         cs = [
             rat(rng.choice((0, rng.randint(-60, -1), rng.randint(1, 60))))
@@ -236,9 +237,13 @@ def integral_grid(seed):
             cs[0] = rat(rng.choice((1, -1)))
         elif kind == "rational":
             cs = [rat(rng.randint(-60, 60), rng.randint(1, 9)) for _ in cs]
+            cs[rng.randint(0, n)] = rat(
+                2 * rng.randint(-30, 30) + 1, 2 * rng.randint(1, 4)
+            )
         elif kind == "last":
             cs[-1] = rat(2 * rng.randint(-30, 30) + 1, 2)
-        out.append(PowerSeries("z", cs, rng.randint(-3, 3)))
+        start = rng.randint(-3, -1) if i < 4 else rng.randint(-3, 3)
+        out.append(PowerSeries("z", cs, start))
     return out
 
 
@@ -247,27 +252,35 @@ def is_integral(f):
 
 
 class TestIntegralPath:
-    """Integral series over Q multiply over ZZ, with unchanged results."""
+    """A product over Q with an integral factor runs over ZZ, with
+    unchanged results."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_products_match_the_fraction_reference(self, seed, monkeypatch):
-        zeros = []
+        calls = []
 
         def recording(a, b, n, zero):
-            zeros.append(zero)
+            ints = all(type(x) is int for x in (*a, *b))
+            calls.append((zero, ints))
             return conv_trunc(a, b, n, zero)
 
         monkeypatch.setattr(series_module, "conv_trunc", recording)
         grid = integral_grid(seed)
+        mixed = set()  # (left integral, the other factor starts below 0)
         for f in grid:
             for g in grid:
                 got = f * g
                 assert (got.coeffs, got.start, got.order) == reference_product(f, g)
                 assert all(type(c) is Rational for c in got.coeffs)
-                assert type(zeros.pop()) is (
-                    int if is_integral(f) and is_integral(g) else Rational
-                )
-        assert not zeros
+                over_zz = is_integral(f) or is_integral(g)
+                zero, ints = calls.pop()
+                assert type(zero) is (int if over_zz else Rational)
+                assert ints is over_zz
+                if is_integral(f) is not is_integral(g):
+                    other = g if is_integral(f) else f
+                    mixed.add((is_integral(f), other.start < 0))
+        assert not calls
+        assert mixed == {(True, True), (True, False), (False, True), (False, False)}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reciprocals_match_the_fraction_reference(self, seed):
