@@ -4,9 +4,7 @@ Fermat cubic pair, with verification suites for the differential-ring,
 anomaly-equation and operator-algebra structure tying the two together.
 """
 
-import sys
 from importlib import import_module
-from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -38,12 +36,12 @@ _EXPORTS = {
         "sigma_tilde",
         "weierstrass_a",
     ),
-    "npoint": (
+    "hurwitz": (
         "connected_from_disconnected",
         "connected_stationary",
-        "npoint",
         "stationary_invariant",
     ),
+    "determinant": ("npoint",),
     "cayley": (
         "cayley_frame",
         "cayley_transform",
@@ -81,17 +79,5 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | set(_SOURCE))
 
-
-class _Package(ModuleType):
-    """Keeps `qmgw.npoint` the function: importing the submodule of that
-    name binds the module onto the package, in whatever order it happens."""
-
-    def __setattr__(self, name, value):
-        if name == "npoint" and isinstance(value, ModuleType):
-            value = value.npoint
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
 
 __all__ = ["__version__", *_SOURCE]

@@ -19,8 +19,8 @@ from .chazy import (
     genus_one_initial_data,
 )
 from .errors import InsufficientOrder, InvalidSeries, UnsupportedInsertion
+from .hurwitz import connected_stationary
 from .modular import qm_eval
-from .npoint import connected_stationary
 from .rational import rat
 from .series import PowerSeries
 from .theta import onepoint_from_b

@@ -140,7 +140,7 @@ def _psi_power(entry, position):
 
 def cmd_gw(args, config, out):
     from .modular import qm_eval
-    from .npoint import connected_stationary, stationary_invariant
+    from .hurwitz import connected_stationary, stationary_invariant
 
     if args.gw_command == "onepoint":
         genus = args.genus

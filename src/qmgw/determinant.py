@@ -1,4 +1,5 @@
-"""Stationary N-point generating functions via the determinant formula.
+"""Stationary N-point generating functions via the determinant formula:
+the check route of every stationary value `hurwitz` serves.
 
 npoint(N, Dz) returns the Euler-product-normalized disconnected stationary
 generating function as a symmetric truncated series in z_1..z_N whose
@@ -27,18 +28,10 @@ from math import comb
 from types import MappingProxyType
 
 from ._backend import add_into, conv_trunc, exp_mul_dict
-from .errors import InsufficientOrder, InvalidSeries
-from .hurwitz import bracket
-from .modular import quasimodularize, weight_basis
+from .errors import InvalidSeries
+from .hurwitz import _nonempty_subsets
 from .rational import ONE
-from .series import PowerSeries
-from .theta import (
-    QM_ONE,
-    QM_ZERO,
-    one_over_theta,
-    onepoint_from_b,
-    prime_form,
-)
+from .theta import QM_ZERO, one_over_theta, prime_form
 
 MAX_LEGS = 4
 
@@ -151,13 +144,6 @@ def _divide_linear(poly, subset, valid):
             f"division by linear form {subset} not exact at {sorted(bad)[:3]}"
         )
     return quotient
-
-
-def _nonempty_subsets(n):
-    out = []
-    for mask in range(1, 1 << n):
-        out.append(tuple(i for i in range(n) if mask >> i & 1))
-    return out
 
 
 def _det_cleared(entries, n, cap):
@@ -287,118 +273,3 @@ def npoint(n_legs, z_order):
             )
         shifted[nk] = v
     return MultiZPoly(n, z_order, shifted)
-
-
-def stationary_invariant(legs, z_order=None):
-    """Disconnected stationary ancestor correlation function for the legs.
-
-    `legs` is a tuple of psi-powers l_i >= -2; the result is the
-    coefficient of prod z_i^{l_i+1} in the N-point series, a generator
-    polynomial of weight sum(l_i + 2).  Any N is served: a lone leg reads
-    the b-table (the genus-g one-point function, 2g - 1 = l + 1), two or
-    more are the completed-cycles q-bracket fitted back to the generators,
-    and the determinant assembly `npoint` stays as the independent
-    cross-check of both.
-    """
-    legs = tuple(legs)
-    if not legs:
-        raise InvalidSeries("need at least one leg")
-    if any(l < -2 for l in legs):
-        raise InvalidSeries("psi-powers must be >= -2")
-    exponents = tuple(l + 1 for l in legs)
-    needed = max(0, sum(exponents))
-    if z_order is None:
-        z_order = needed
-    elif z_order < needed:
-        raise InsufficientOrder(
-            f"legs {legs} need z-order >= {needed}", required=needed
-        )
-    weight = sum(l + 2 for l in legs)
-    # a z^{-1} coefficient (psi-power -2) contributes the factor 1
-    exponents = tuple(sorted(e for e in exponents if e != -1))
-    if 0 in exponents or weight % 2:
-        value = QM_ZERO
-    elif not exponents:
-        value = QM_ONE
-    elif len(exponents) == 1:
-        value = onepoint_from_b((exponents[0] + 1) // 2)
-    else:
-        q_order = len(weight_basis(weight)) + 9
-        value = quasimodularize(
-            PowerSeries("q", bracket(exponents, q_order)), weight, margin=10
-        )
-    if value and value.weight != weight:
-        raise InvalidSeries(
-            f"weight bookkeeping broken: expected {weight}, "
-            f"found {value.weight}"
-        )
-    return value
-
-
-def _partitions_with_first(indices):
-    """Blocks B containing indices[0], paired with the complement."""
-    first, rest = indices[0], indices[1:]
-    for mask in range(1 << len(rest)):
-        block = (first,) + tuple(
-            rest[i] for i in range(len(rest)) if mask >> i & 1
-        )
-        comp = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
-        yield block, comp
-
-
-def connected_from_disconnected(legs, tables):
-    """Connected stationary ancestor function by cumulant inversion.
-
-    `tables` maps every nonempty subset of leg positions (as a sorted
-    tuple of indices) to the disconnected ancestor value; with the Euler
-    factor absorbed into the ancestor normalization the relation is
-
-        disc(S) = sum over partitions of S of prod over blocks conn(B),
-
-    so one-point connected equals one-point disconnected.
-    """
-    legs = tuple(legs)
-    indices = tuple(range(len(legs)))
-    missing = [
-        s
-        for s in _nonempty_subsets(len(legs))
-        if tuple(sorted(s)) not in tables
-    ]
-    if missing:
-        raise InvalidSeries(f"missing disconnected sub-tables for {missing}")
-
-    cache = {}
-
-    def conn(subset):
-        subset = tuple(sorted(subset))
-        if subset in cache:
-            return cache[subset]
-        value = tables[subset]
-        for block, comp in _partitions_with_first(subset):
-            if not comp:
-                continue
-            value = value - conn(block) * disc(comp)
-        cache[subset] = value
-        return value
-
-    def disc(subset):
-        return tables[tuple(sorted(subset))]
-
-    return conn(indices)
-
-
-def connected_stationary(legs, z_order=None):
-    """Connected stationary ancestor function, computing its own tables.
-
-    Subsets holding the same multiset of psi-powers share one value.
-    """
-    legs = tuple(legs)
-    by_multiset = {}
-    tables = {}
-    for sub in _nonempty_subsets(len(legs)):
-        sub_legs = tuple(legs[i] for i in sub)
-        key = tuple(sorted(sub_legs))
-        if key not in by_multiset:
-            by_multiset[key] = stationary_invariant(sub_legs, z_order=z_order)
-        tables[sub] = by_multiset[key]
-    return connected_from_disconnected(legs, tables)

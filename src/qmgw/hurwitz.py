@@ -1,5 +1,11 @@
 """Stationary invariants from completed cycles (GW/Hurwitz correspondence).
 
+Every stationary value qmgw serves comes from here: `stationary_invariant`
+reads a lone leg off the b-table and fits two or more legs from the
+q-bracket below, and `connected_stationary` inverts the cumulants.  The
+determinant assembly in `determinant` shares none of this code and checks
+it coefficient by coefficient.
+
 Okounkov-Pandharipande ("Gromov-Witten theory, Hurwitz theory, and
 completed cycles", math/0204305): the disconnected stationary invariant
 with psi-powers l_i is the q-bracket
@@ -41,9 +47,16 @@ from functools import lru_cache
 from math import comb, factorial, isqrt, prod
 from operator import mul
 
-from .errors import InvalidSeries
-from .modular import bernoulli, euler_coefficients
+from .errors import InsufficientOrder, InvalidSeries
+from .modular import (
+    bernoulli,
+    euler_coefficients,
+    quasimodularize,
+    weight_basis,
+)
 from .rational import rat
+from .series import PowerSeries
+from .theta import QM_ONE, QM_ZERO, onepoint_from_b
 
 
 def _absorb(rows, caps, bases):
@@ -172,3 +185,124 @@ def bracket(exponents, order):
         rat(sum(c * numer[n - p] for p, c in euler if p <= n), scale)
         for n in range(order + 1)
     )
+
+
+def _nonempty_subsets(n):
+    out = []
+    for mask in range(1, 1 << n):
+        out.append(tuple(i for i in range(n) if mask >> i & 1))
+    return out
+
+
+def stationary_invariant(legs, z_order=None):
+    """Disconnected stationary ancestor correlation function for the legs.
+
+    `legs` is a tuple of psi-powers l_i >= -2; the result is the
+    coefficient of prod z_i^{l_i+1} in the N-point series, a generator
+    polynomial of weight sum(l_i + 2).  Any N is served: a lone leg reads
+    the b-table (the genus-g one-point function, 2g - 1 = l + 1), two or
+    more are the completed-cycles q-bracket fitted back to the generators.
+    `determinant.npoint` assembles the same coefficients independently and
+    checks both.  A `z_order` below sum(l_i + 1) raises InsufficientOrder;
+    any other leaves the value unchanged.
+    """
+    legs = tuple(legs)
+    if not legs:
+        raise InvalidSeries("need at least one leg")
+    if any(l < -2 for l in legs):
+        raise InvalidSeries("psi-powers must be >= -2")
+    exponents = tuple(l + 1 for l in legs)
+    needed = max(0, sum(exponents))
+    if z_order is not None and z_order < needed:
+        raise InsufficientOrder(
+            f"legs {legs} need z-order >= {needed}", required=needed
+        )
+    weight = sum(l + 2 for l in legs)
+    # a z^{-1} coefficient (psi-power -2) contributes the factor 1
+    exponents = tuple(sorted(e for e in exponents if e != -1))
+    if 0 in exponents or weight % 2:
+        value = QM_ZERO
+    elif not exponents:
+        value = QM_ONE
+    elif len(exponents) == 1:
+        value = onepoint_from_b((exponents[0] + 1) // 2)
+    else:
+        q_order = len(weight_basis(weight)) + 9
+        value = quasimodularize(
+            PowerSeries("q", bracket(exponents, q_order)), weight, margin=10
+        )
+    if value and value.weight != weight:
+        raise InvalidSeries(
+            f"weight bookkeeping broken: expected {weight}, "
+            f"found {value.weight}"
+        )
+    return value
+
+
+def _partitions_with_first(indices):
+    """Blocks B containing indices[0], paired with the complement."""
+    first, rest = indices[0], indices[1:]
+    for mask in range(1 << len(rest)):
+        block = (first,) + tuple(
+            rest[i] for i in range(len(rest)) if mask >> i & 1
+        )
+        comp = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
+        yield block, comp
+
+
+def connected_from_disconnected(legs, tables):
+    """Connected stationary ancestor function by cumulant inversion.
+
+    `tables` maps every nonempty subset of leg positions (as a sorted
+    tuple of indices) to the disconnected ancestor value; with the Euler
+    factor absorbed into the ancestor normalization the relation is
+
+        disc(S) = sum over partitions of S of prod over blocks conn(B),
+
+    so one-point connected equals one-point disconnected.
+    """
+    legs = tuple(legs)
+    indices = tuple(range(len(legs)))
+    missing = [
+        s
+        for s in _nonempty_subsets(len(legs))
+        if tuple(sorted(s)) not in tables
+    ]
+    if missing:
+        raise InvalidSeries(f"missing disconnected sub-tables for {missing}")
+
+    cache = {}
+
+    def conn(subset):
+        subset = tuple(sorted(subset))
+        if subset in cache:
+            return cache[subset]
+        value = tables[subset]
+        for block, comp in _partitions_with_first(subset):
+            if not comp:
+                continue
+            value = value - conn(block) * disc(comp)
+        cache[subset] = value
+        return value
+
+    def disc(subset):
+        return tables[tuple(sorted(subset))]
+
+    return conn(indices)
+
+
+def connected_stationary(legs, z_order=None):
+    """Connected stationary ancestor function, computing its own tables.
+
+    Subsets holding the same multiset of psi-powers share one value.
+    """
+    legs = tuple(legs)
+    by_multiset = {}
+    tables = {}
+    for sub in _nonempty_subsets(len(legs)):
+        sub_legs = tuple(legs[i] for i in sub)
+        key = tuple(sorted(sub_legs))
+        if key not in by_multiset:
+            by_multiset[key] = stationary_invariant(sub_legs, z_order=z_order)
+        tables[sub] = by_multiset[key]
+    return connected_from_disconnected(legs, tables)

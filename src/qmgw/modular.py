@@ -127,12 +127,6 @@ class QMPolynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return not self.terms or set(self.terms) == {(0, 0, 0)}
-
-    def constant_value(self):
-        return self.terms.get((0, 0, 0), ZERO)
-
     def coefficient(self, a, b, c):
         return self.terms.get((a, b, c), ZERO)
 
@@ -143,9 +137,6 @@ class QMPolynomial:
         if len(weights) == 1:
             return weights.pop()
         return None
-
-    def max_e2_exponent(self):
-        return max((k[0] for k in self.terms), default=0)
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -212,15 +203,15 @@ class QMPolynomial:
 
     def __rtruediv__(self, scalar):
         """scalar / self; only the nonzero rational constants are units."""
-        if not self.is_constant() or self.is_zero():
+        if set(self.terms) != {(0, 0, 0)}:
             raise InvalidSeries(
                 "only a nonzero rational constant generator polynomial is invertible"
             )
-        return QMPolynomial.constant(rat(scalar) / self.constant_value())
+        return QMPolynomial.constant(rat(scalar) / self.terms[(0, 0, 0)])
 
     def __pow__(self, n):
         if n < 0:
-            return (1 / self) ** -n
+            raise InvalidSeries("no negative power of a generator polynomial")
         out = QMPolynomial.constant(ONE)
         for _ in range(n):
             out = out * self

@@ -21,6 +21,8 @@ from .chazy import (
     genus_one_initial_data,
 )
 from .config import SUITE_NAMES
+from .determinant import npoint
+from .hurwitz import connected_stationary, stationary_invariant
 from .modular import (
     E2,
     QMPolynomial,
@@ -37,7 +39,6 @@ from .mirror import (
     i_function_identity_checks,
     mirror_map_check,
 )
-from .npoint import connected_stationary, npoint, stationary_invariant
 from .rational import ONE, rat
 from .records import CheckReport
 from .series import PowerSeries
@@ -239,7 +240,7 @@ def _two_point_matches_closed_form(dz):
     determinant engine coefficientwise.
     """
     from .theta import log_theta_deriv
-    from .npoint import _linear_form_powers, _substitute
+    from .determinant import _linear_form_powers, _substitute
 
     assembled = npoint(2, dz)
     cap = dz + 2

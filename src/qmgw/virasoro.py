@@ -63,11 +63,6 @@ def mono_var(sector, level):
     return (((sector, level), 1),)
 
 
-def poly_const(c):
-    c = rat(c)
-    return {(): c} if c else {}
-
-
 def poly_var(sector, level):
     return {mono_var(sector, level): ONE}
 

@@ -26,6 +26,8 @@ from qmgw.chazy import (
     genus_one_initial_data,
 )
 from qmgw.cli import main as cli_main
+from qmgw.determinant import npoint
+from qmgw.hurwitz import connected_stationary
 from qmgw.modular import (
     E2,
     E4,
@@ -44,7 +46,6 @@ from qmgw.mirror import (
     i_function_gw,
     mirror_map_check,
 )
-from qmgw.npoint import connected_stationary, npoint
 from qmgw.rational import ONE, ZERO, rat
 from qmgw.series import PowerSeries
 from qmgw.theta import onepoint_from_b, onepoint_qm
@@ -52,7 +53,6 @@ from qmgw.virasoro import (
     THEORIES,
     mono_var,
     poly_add,
-    poly_const,
     poly_mul_mono,
     poly_var,
     quantization_S,
@@ -189,7 +189,7 @@ def test_criterion_08_virasoro_and_quantization():
                         n, m, 10, theory
                     ).passed, (theory, n, m)
         op = quantization_S(rat(1, 2), 10)
-        probe = poly_add(poly_var(0, 1), poly_const(1))
+        probe = poly_add(poly_var(0, 1), {(): ONE})
         lhs = op.apply(poly_mul_mono(probe, mono_var(3, 2), 1))
         rhs = {
             h: poly_mul_mono(p, mono_var(3, 2), 1)

@@ -9,8 +9,15 @@ from operator import add, mul
 
 import pytest
 
-from qmgw.errors import InvalidSeries
-from qmgw.hurwitz import _unpack, bracket
+import qmgw
+from qmgw.determinant import npoint
+from qmgw.errors import InsufficientOrder, InvalidSeries
+from qmgw.hurwitz import (
+    _unpack,
+    bracket,
+    connected_stationary,
+    stationary_invariant,
+)
 from qmgw.modular import (
     E2,
     bernoulli,
@@ -18,7 +25,6 @@ from qmgw.modular import (
     qm_eval,
     ramanujan_derive,
 )
-from qmgw.npoint import connected_stationary, npoint, stationary_invariant
 from qmgw.rational import rat
 from qmgw.theta import onepoint_from_b
 
@@ -237,6 +243,25 @@ class TestAnyLegCount:
         for _ in range(n_legs - 1):
             expected = ramanujan_derive(expected)
         assert connected_stationary((0,) * n_legs) == expected
+
+
+class TestZOrderKeyword:
+    """perfbench's stationary-cold calls both serving functions through the
+    top-level names as fn(legs, z_order=k); a z-order that reaches
+    sum(l_i + 1) leaves the value alone, a smaller one raises."""
+
+    @pytest.mark.parametrize(
+        "name", ["stationary_invariant", "connected_stationary"]
+    )
+    @pytest.mark.parametrize("legs", [(2,), (0, 2), (1, 1, 2)])
+    def test_value_independent_of_a_sufficient_order(self, name, legs):
+        serve = getattr(qmgw, name)
+        needed = sum(l + 1 for l in legs)
+        for k in (needed, needed + 3):
+            assert serve(legs, z_order=k) == serve(legs)
+        with pytest.raises(InsufficientOrder) as err:
+            serve(legs, z_order=needed - 1)
+        assert err.value.required == needed
 
 
 class TestServedQExpansion:

@@ -18,10 +18,23 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 MATH_MODULES = {
     f"qmgw.{name}"
     for name in (
-        "_backend", "series", "modular", "theta", "npoint", "hurwitz",
+        "_backend", "series", "modular", "theta", "determinant", "hurwitz",
         "chazy", "cayley", "anomaly", "virasoro", "mirror", "verify",
     )
 }
+
+#: every module a process that serves stationary values may load: the
+#: check-only modules (`determinant`, `verify`, `mirror`, `virasoro`,
+#: `anomaly`) are not on it
+SERVING = {"qmgw"} | {
+    f"qmgw.{name}"
+    for name in (
+        "cli", "cache", "config", "errors", "rational", "records", "series",
+        "_backend", "modular", "theta", "hurwitz",
+    )
+}
+
+NPOINT_3 = ("--legs", "3", "--psi", "1,1,2")
 
 #: OpenSSL (through `hashlib`) and `dataclasses` (which pulls in `inspect`):
 #: no process loads either, not even one that reads or writes the disk cache
@@ -71,7 +84,8 @@ class TestStartup:
     def test_cold_table_loads_no_npoint_virasoro_or_mirror(self, tmp_path):
         loaded = _cli_imports(tmp_path, "tables", "a", "--bound", "14")
         assert "qmgw.theta" in loaded
-        assert not loaded & {"qmgw.npoint", "qmgw.virasoro", "qmgw.mirror"}
+        check_only = {"qmgw.determinant", "qmgw.virasoro", "qmgw.mirror"}
+        assert not loaded & check_only
         assert "dataclasses" not in loaded
 
     @pytest.mark.parametrize(
@@ -92,7 +106,22 @@ class TestStartup:
             "import qmgw.mirror\n"
             "print(json.dumps(sorted(sys.modules)))\n"
         )
-        assert not {"qmgw.npoint", "qmgw.cayley"} & set(loaded)
+        assert not {"qmgw.determinant", "qmgw.cayley"} & set(loaded)
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (("gw", "onepoint", "--genus", "3"), ()),
+            (("gw", "npoint", *NPOINT_3), ()),
+            (("gw", "npoint", *NPOINT_3, "--connected"), ()),
+            (("fjrw", "onepoint", "--genus", "3"), ("cayley", "chazy")),
+        ],
+        ids=["gw-onepoint", "gw-npoint", "gw-connected", "fjrw-onepoint"],
+    )
+    def test_serving_loads_no_check_module(self, tmp_path, argv, extra):
+        allowed = SERVING | {f"qmgw.{name}" for name in extra}
+        loaded = _cli_imports(tmp_path, *argv, "--no-cache")
+        assert {m for m in loaded if m.split(".")[0] == "qmgw"} <= allowed
 
     def test_warm_eisenstein_read_loads_only_series(self, tmp_path):
         argv = ("tables", "eisenstein", "--k", "6", "--order", "30")
@@ -161,7 +190,7 @@ class TestLazyExports:
         "first",
         [
             "import qmgw.cayley",
-            "import qmgw.npoint",
+            "import qmgw.determinant",
             "from qmgw import npoint",
             "from qmgw import cache, verify",
             "import qmgw.verify; from qmgw import npoint",
@@ -170,14 +199,13 @@ class TestLazyExports:
     def test_npoint_stays_the_function(self, first):
         checks = _run(
             f"{first}\n"
-            "import json, sys, types, qmgw\n"
+            "import json, sys, qmgw\n"
             "from qmgw import npoint\n"
-            "module = sys.modules['qmgw.npoint']\n"
+            "module = sys.modules['qmgw.determinant']\n"
             "print(json.dumps([qmgw.npoint is module.npoint,"
-            " npoint is module.npoint,"
-            " isinstance(module, types.ModuleType)]))\n"
+            " npoint is module.npoint]))\n"
         )
-        assert checks == [True, True, True]
+        assert checks == [True, True]
 
 
 def test_suite_names_match_verify():

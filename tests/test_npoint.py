@@ -1,22 +1,19 @@
-from importlib import import_module
-
 import pytest
 
+from qmgw import hurwitz
+from qmgw.determinant import MultiZPoly, npoint
 from qmgw.errors import InsufficientOrder, InvalidSeries
-from qmgw.modular import E2, E4, QMPolynomial, ramanujan_derive
-from qmgw.npoint import (
-    MultiZPoly,
+from qmgw.hurwitz import (
     _nonempty_subsets,
     connected_from_disconnected,
     connected_stationary,
-    npoint,
     stationary_invariant,
 )
+from qmgw.modular import E2, E4, QMPolynomial, ramanujan_derive
 from qmgw.rational import ONE, rat
 from qmgw.theta import one_over_theta
 
 C2 = E2 * rat(-1, 24)
-npoint_module = import_module("qmgw.npoint")
 
 
 def divisor_derivative(p, times):
@@ -114,7 +111,7 @@ def _anomaly_merge_residuals(n, dz):
     the offending monomials inside the valid window (empty = pass).
     """
     from qmgw.anomaly import d_dC2
-    from qmgw.npoint import _linear_form_powers
+    from qmgw.determinant import _linear_form_powers
 
     f_n = npoint(n, dz)
     f_prev = npoint(n - 1, dz + 2)
@@ -231,7 +228,7 @@ class TestConnectedFromDisconnected:
             calls.append(sub_legs)
             return stationary_invariant(sub_legs, z_order=z_order)
 
-        monkeypatch.setattr(npoint_module, "stationary_invariant", counting)
+        monkeypatch.setattr(hurwitz, "stationary_invariant", counting)
         assert connected_stationary(legs) == want
         assert len(calls) == 7
 

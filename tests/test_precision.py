@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from conftest import rationals
 from qmgw.cayley import cayley_frame
 from qmgw.chazy import chazy_solve_s, genus_one_initial_data
+from qmgw.determinant import npoint
 from qmgw.errors import InsufficientOrder
 from qmgw.mirror import alpha
 from qmgw.modular import QMPolynomial, eisenstein
-from qmgw.npoint import npoint
 from qmgw.series import D_DS, PowerSeries
 from qmgw.theta import (
     one_over_theta,
