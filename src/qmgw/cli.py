@@ -331,14 +331,6 @@ def main(argv=None, out=None):
     out = out or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = make_config(args)
-    except InsufficientOrder as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except QmgwError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     handlers = {
         "gw": cmd_gw,
         "fjrw": cmd_fjrw,
@@ -346,7 +338,7 @@ def main(argv=None, out=None):
         "tables": cmd_tables,
     }
     try:
-        return handlers[args.command](args, config, out)
+        return handlers[args.command](args, make_config(args), out)
     except InsufficientOrder as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -259,10 +259,10 @@ def qm_eval(p, order, gens=None):
     p's largest E2 exponent, an empty row included.  Each column is one
     product of a cached predecessor (`_column`, shared across calls per
     generator pair), so an evaluation also costs one product per column
-    not cached yet; scaling by a coefficient is termwise.  On the default
-    frame every generator is integral, so each Horner step (a rational
-    row times E2) and each column product runs on ints
-    (`PowerSeries.__mul__`).
+    not cached yet; scaling by a coefficient is termwise.  Each Horner
+    step and each column product is a product of series over Q, so it
+    runs on ints (`PowerSeries.__mul__`), on the Eisenstein frame and on
+    the Cayley images alike.
     """
     if gens is None:
         gens = (eisenstein(2, order), eisenstein(4, order), eisenstein(6, order))

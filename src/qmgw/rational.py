@@ -23,11 +23,6 @@ def rat(num, den=1):
     return Rational(num, den)
 
 
-def integral(values):
-    """Whether each of `values` is a Fraction with denominator 1."""
-    return all(type(x) is Rational and x.denominator == 1 for x in values)
-
-
 def scaled_ints(values):
     """(nums, den) with values[i] == nums[i]/den and den the least common
     denominator, if each value is a Fraction; else None."""

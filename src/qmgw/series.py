@@ -15,19 +15,14 @@ known to the smaller of the two orders, and a product to
 tags are enforced at runtime so q-frame and s-frame objects cannot be
 mixed by accident.
 
-A product with an integral factor runs over ZZ.  When both factors are
-series over Q (both zeros are the rational zero) and every coefficient of
-one of them has denominator 1, as for E2, E4, E6, the Euler product and
-the theta quotients, the other factor is scaled to integers over its least
-common denominator D, the two integer lists are convolved, and each result
-is wrapped once as a Fraction over D (with no gcd when D = 1).  This is
-the Horner step of `modular.qm_eval`, a rational row times E2.  The rule
-looks only at the operands' own coefficients, integrality first, so two
-non-integral factors are not scaled: they take the Fraction path, with
-the same result.  Scaling both factors is faster too, but it waits for
-perfbench to measure its worker's own memory: on `tower-session` it
-pushed `peak_rss_mb` past its bound through memory that `run.py` itself
-holds (ROADMAP directions 1 and 5).
+A product of two series over Q (both zeros are the rational zero) runs
+over ZZ, in the layout of FLINT's fmpq_poly: each factor is scaled to
+integers over its least common denominator, f = F/D_f and g = G/D_g, the
+two integer lists are convolved, and each coefficient of F*G is wrapped
+once as a Fraction over D_f * D_g (with no gcd when that is 1).  This is
+the Horner step of `modular.qm_eval`, the Cayley frame and the residuals
+of chazy and bp.  Any other pair, one with generator-polynomial
+coefficients for instance, is convolved over its coefficients' own ring.
 
 The reciprocal and exp are one recurrence each, run by one loop over
 every ring; the rings differ only in how the operand is scaled in and the
@@ -55,7 +50,7 @@ from math import factorial
 from numbers import Number
 
 from .errors import InsufficientOrder, InvalidSeries, VariableMismatch
-from .rational import ONE, ZERO, from_ints, integral, rat, scaled_ints
+from .rational import ONE, ZERO, from_ints, rat, scaled_ints
 from ._backend import conv_trunc
 
 VARIABLES = ("q", "s", "t", "x", "z")
@@ -80,15 +75,12 @@ def _scaled(f, coeffs):
 
 def _product_ints(f, g):
     """(F, G, D) with f * g = (F * G) / D on int lists, if f and g are over
-    Q and one of them is integral: D is the other's least common
-    denominator.  Else None; two non-integral factors are not scaled."""
-    for x, y in ((f, g), (g, f)):
-        if x._zero is ZERO and integral(x.coeffs):
-            scaled = _scaled(y, y.coeffs)
-            if scaled is None:
-                return None
-            return [c.numerator for c in x.coeffs], *scaled
-    return None
+    Q: F/D_f and G/D_g scaled to their least common denominators, and
+    D = D_f * D_g.  Else None."""
+    a, b = _scaled(f, f.coeffs), _scaled(g, g.coeffs)
+    if a is None or b is None:
+        return None
+    return a[0], b[0], a[1] * b[1]
 
 
 def _powers(x, n):
@@ -288,10 +280,10 @@ class PowerSeries:
     def __mul__(self, other):
         """Product with a scalar or a series in the same variable.
 
-        Two series over Q of which one is integral are convolved over ZZ,
-        the other scaled to its least common denominator D and each result
-        coefficient wrapped once over D; any other pair, two non-integral
-        series over Q included, over its coefficients' own ring.
+        Two series over Q are convolved over ZZ, each scaled to its least
+        common denominator and each result coefficient wrapped once over
+        the product D of the two; any other pair over its coefficients'
+        own ring.
         """
         if not isinstance(other, PowerSeries):
             if isinstance(other, _SCALARS):
@@ -378,21 +370,6 @@ class PowerSeries:
         out = _exp_loop(c, 0)
         scales = [factorial(k) * p for k, p in enumerate(powers)]  # k! D^k
         return self._like([rat(o, s) for o, s in zip(out, scales)], 0)
-
-    def log(self):
-        """log(self); requires constant term exactly 1."""
-        self._require_power_series("log")
-        if self.coeffs[0] != self._zero + 1:
-            raise InvalidSeries("log needs constant term 1")
-        n = self.order
-        out = [self._zero] * (n + 1)
-        for k in range(1, n + 1):
-            acc = self._zero
-            for i in range(1, k):
-                if out[i]:
-                    acc += i * out[i] * self.coeffs[k - i]
-            out[k] = self.coeffs[k] - acc / k
-        return self._like(out, 0)
 
     def compose(self, inner):
         """self(inner) for series over Q; inner must have zero constant term.

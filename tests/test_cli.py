@@ -165,6 +165,19 @@ class TestGwCommands:
         assert code == 3
         assert f">= {floor}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--margin", "0", "gw", "onepoint", "--genus", "1", "--no-cache"],
+            ["gw", "onepoint", "--genus", "1", "--no-cache", "--margin", "0"],
+        ],
+        ids=["before", "after"],
+    )
+    def test_margin_below_one_exit_2(self, argv, capsys):
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: verification margin must be >= 1\n"
+
 
 class TestFjrwCommands:
     def test_invariants_table(self, tmp_path):
