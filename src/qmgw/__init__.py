@@ -36,11 +36,7 @@ _EXPORTS = {
         "sigma_tilde",
         "weierstrass_a",
     ),
-    "hurwitz": (
-        "connected_from_disconnected",
-        "connected_stationary",
-        "stationary_invariant",
-    ),
+    "hurwitz": ("connected_stationary", "stationary_invariant"),
     "determinant": ("npoint",),
     "cayley": (
         "cayley_frame",

@@ -23,13 +23,12 @@ shift by prod z_i^{-1}, where they belong.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 from types import MappingProxyType
 
 from ._backend import add_into, conv_trunc, exp_mul_dict
 from .errors import InvalidSeries
-from .hurwitz import _nonempty_subsets
 from .rational import ONE
 from .theta import QM_ZERO, one_over_theta, prime_form
 
@@ -198,7 +197,9 @@ def npoint(n_legs, z_order):
     if z_order < 0:
         raise InvalidSeries("z_order must be nonnegative")
     n = n_legs
-    subsets = _nonempty_subsets(n)
+    subsets = [
+        s for k in range(1, n + 1) for s in combinations(range(n), k)
+    ]
     cap = z_order + n
 
     # single-variable ingredients, dense lists indexed by w-exponent:

@@ -2,9 +2,12 @@
 
 Every stationary value qmgw serves comes from here: `stationary_invariant`
 reads a lone leg off the b-table and fits two or more legs from the
-q-bracket below, and `connected_stationary` inverts the cumulants.  The
-determinant assembly in `determinant` shares none of this code and checks
-it coefficient by coefficient.
+q-bracket below, and `connected_stationary` inverts the cumulants by one
+recursion on multisets of psi-powers, conn(M) = disc(M) minus
+n(B) conn(B) disc(M - B) over the proper sub-multisets B holding M's first
+leg, n(B) the number of leg subsets with B's multiset.  The determinant
+assembly in `determinant` shares none of this code and checks it
+coefficient by coefficient.
 
 Okounkov-Pandharipande ("Gromov-Witten theory, Hurwitz theory, and
 completed cycles", math/0204305): the disconnected stationary invariant
@@ -44,6 +47,7 @@ one packed int that is unpacked once.
 """
 
 from functools import lru_cache
+from itertools import product
 from math import comb, factorial, isqrt, prod
 from operator import mul
 
@@ -187,13 +191,6 @@ def bracket(exponents, order):
     )
 
 
-def _nonempty_subsets(n):
-    out = []
-    for mask in range(1, 1 << n):
-        out.append(tuple(i for i in range(n) if mask >> i & 1))
-    return out
-
-
 def stationary_invariant(legs, z_order=None):
     """Disconnected stationary ancestor correlation function for the legs.
 
@@ -239,70 +236,51 @@ def stationary_invariant(legs, z_order=None):
     return value
 
 
-def _partitions_with_first(indices):
-    """Blocks B containing indices[0], paired with the complement."""
-    first, rest = indices[0], indices[1:]
-    for mask in range(1 << len(rest)):
-        block = (first,) + tuple(
-            rest[i] for i in range(len(rest)) if mask >> i & 1
-        )
-        comp = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
-        yield block, comp
+def connected_stationary(legs, z_order=None):
+    """Connected stationary ancestor function: the cumulant of the
+    disconnected values.
 
+    With the Euler factor absorbed into the ancestor normalization,
+    disc(S) = sum over set partitions of S of prod over blocks conn(B), so
+    one-point connected equals one-point disconnected.  Both depend only on
+    the multiset M of psi-powers, so the inversion runs on sorted legs:
 
-def connected_from_disconnected(legs, tables):
-    """Connected stationary ancestor function by cumulant inversion.
+        conn(M) = disc(M) - sum_B n(B) conn(B) disc(M - B),
 
-    `tables` maps every nonempty subset of leg positions (as a sorted
-    tuple of indices) to the disconnected ancestor value; with the Euler
-    factor absorbed into the ancestor normalization the relation is
-
-        disc(S) = sum over partitions of S of prod over blocks conn(B),
-
-    so one-point connected equals one-point disconnected.
+    B over the proper sub-multisets of M holding its first (least) leg.
+    Removing that leg leaves c_u legs of each psi-power u, of which B
+    takes k_u; n(B) = prod_u C(c_u, k_u) counts the leg subsets it stands
+    for.  disc is `stationary_invariant`, fitted once per multiset.
+    `z_order` is checked once against the full legs, as
+    `stationary_invariant` checks it: below sum(l_i + 1) it raises
+    InsufficientOrder, otherwise the value is unchanged.
     """
     legs = tuple(legs)
-    indices = tuple(range(len(legs)))
-    missing = [
-        s
-        for s in _nonempty_subsets(len(legs))
-        if tuple(sorted(s)) not in tables
-    ]
-    if missing:
-        raise InvalidSeries(f"missing disconnected sub-tables for {missing}")
+    whole = tuple(sorted(legs))
+    disc = {whole: stationary_invariant(legs, z_order=z_order)}
+    conn = {}
 
-    cache = {}
+    def fitted(m):
+        if m not in disc:
+            disc[m] = stationary_invariant(m)
+        return disc[m]
 
-    def conn(subset):
-        subset = tuple(sorted(subset))
-        if subset in cache:
-            return cache[subset]
-        value = tables[subset]
-        for block, comp in _partitions_with_first(subset):
-            if not comp:
-                continue
-            value = value - conn(block) * disc(comp)
-        cache[subset] = value
+    def connected(m):
+        if m in conn:
+            return conn[m]
+        first, rest = m[0], m[1:]
+        classes = [(u, rest.count(u)) for u in sorted(set(rest))]
+        value = fitted(m)
+        for ks in product(*(range(c + 1) for _, c in classes)):
+            block, comp, n = (first,), (), 1
+            for (u, c), k in zip(classes, ks):
+                block += (u,) * k
+                comp += (u,) * (c - k)
+                n *= comb(c, k)
+            if comp:
+                term = connected(block) * fitted(comp)
+                value = value - (term * n if n > 1 else term)
+        conn[m] = value
         return value
 
-    def disc(subset):
-        return tables[tuple(sorted(subset))]
-
-    return conn(indices)
-
-
-def connected_stationary(legs, z_order=None):
-    """Connected stationary ancestor function, computing its own tables.
-
-    Subsets holding the same multiset of psi-powers share one value.
-    """
-    legs = tuple(legs)
-    by_multiset = {}
-    tables = {}
-    for sub in _nonempty_subsets(len(legs)):
-        sub_legs = tuple(legs[i] for i in sub)
-        key = tuple(sorted(sub_legs))
-        if key not in by_multiset:
-            by_multiset[key] = stationary_invariant(sub_legs, z_order=z_order)
-        tables[sub] = by_multiset[key]
-    return connected_from_disconnected(legs, tables)
+    return connected(whole)

@@ -248,20 +248,26 @@ class TestAnyLegCount:
 class TestZOrderKeyword:
     """perfbench's stationary-cold calls both serving functions through the
     top-level names as fn(legs, z_order=k); a z-order that reaches
-    sum(l_i + 1) leaves the value alone, a smaller one raises."""
+    sum(l_i + 1) of the full legs leaves the value alone, a smaller one
+    raises.  A psi -2 leg lowers that sum below what the legs without it
+    need, so the connected value must not check its sub-multisets."""
 
     @pytest.mark.parametrize(
         "name", ["stationary_invariant", "connected_stationary"]
     )
-    @pytest.mark.parametrize("legs", [(2,), (0, 2), (1, 1, 2)])
+    @pytest.mark.parametrize(
+        "legs",
+        [(2,), (0, 2), (1, 1, 2), (3, -2), (1, -2, -2), (2, 2, -2)],
+    )
     def test_value_independent_of_a_sufficient_order(self, name, legs):
         serve = getattr(qmgw, name)
-        needed = sum(l + 1 for l in legs)
+        needed = max(0, sum(l + 1 for l in legs))
         for k in (needed, needed + 3):
             assert serve(legs, z_order=k) == serve(legs)
         with pytest.raises(InsufficientOrder) as err:
             serve(legs, z_order=needed - 1)
         assert err.value.required == needed
+        assert str(err.value) == f"legs {legs} need z-order >= {needed}"
 
 
 class TestServedQExpansion:

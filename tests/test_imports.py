@@ -108,6 +108,16 @@ class TestStartup:
         )
         assert not {"qmgw.determinant", "qmgw.cayley"} & set(loaded)
 
+    def test_determinant_loads_no_hurwitz(self):
+        # the check route shares no code with the serving route it checks
+        loaded = _run(
+            "import json, sys\n"
+            "import qmgw.determinant\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        assert "qmgw.determinant" in loaded
+        assert "qmgw.hurwitz" not in loaded
+
     @pytest.mark.parametrize(
         "argv, extra",
         [

@@ -1,19 +1,86 @@
+import random
+
 import pytest
 
 from qmgw import hurwitz
 from qmgw.determinant import MultiZPoly, npoint
 from qmgw.errors import InsufficientOrder, InvalidSeries
-from qmgw.hurwitz import (
-    _nonempty_subsets,
-    connected_from_disconnected,
-    connected_stationary,
-    stationary_invariant,
-)
+from qmgw.hurwitz import connected_stationary, stationary_invariant
 from qmgw.modular import E2, E4, QMPolynomial, ramanujan_derive
 from qmgw.rational import ONE, rat
 from qmgw.theta import one_over_theta
 
 C2 = E2 * rat(-1, 24)
+
+
+def _nonempty_subsets(n):
+    out = []
+    for mask in range(1, 1 << n):
+        out.append(tuple(i for i in range(n) if mask >> i & 1))
+    return out
+
+
+def _partitions_with_first(indices):
+    """Blocks B containing indices[0], paired with the complement."""
+    first, rest = indices[0], indices[1:]
+    for mask in range(1 << len(rest)):
+        block = (first,) + tuple(
+            rest[i] for i in range(len(rest)) if mask >> i & 1
+        )
+        comp = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
+        yield block, comp
+
+
+def connected_from_disconnected(legs, tables):
+    """The reference cumulant inversion over subsets of leg positions.
+
+    `tables` maps every nonempty subset of positions (a sorted tuple of
+    indices) to its disconnected value, and
+
+        disc(S) = sum over partitions of S of prod over blocks conn(B).
+
+    It knows nothing of multisets: about 3^N / 2 products for N legs.
+    """
+    cache = {}
+
+    def conn(subset):
+        if subset not in cache:
+            value = tables[subset]
+            for block, comp in _partitions_with_first(subset):
+                if comp:
+                    value = value - conn(block) * tables[comp]
+            cache[subset] = value
+        return cache[subset]
+
+    return conn(tuple(range(len(legs))))
+
+
+def subset_tables(legs):
+    """The disconnected value of every nonempty subset of positions."""
+    return {
+        s: stationary_invariant(tuple(legs[i] for i in s))
+        for s in _nonempty_subsets(len(legs))
+    }
+
+
+def oracle_grid():
+    """Six leg tuples for each N = 1..7 from a fixed seed, psi-powers 0..4
+    (0..3 from N = 5 on, where the reference's 3^N products dominate).
+    Per N, one tuple has a psi -1 leg and one a psi -2 leg, both at the
+    weight they drew; the other four are bumped to even weight, where the
+    values are nonzero."""
+    rng = random.Random(29)
+    grid = []
+    for n in range(1, 8):
+        top = 4 if n <= 4 else 3
+        for i in range(6):
+            legs = [rng.randint(0, top) for _ in range(n)]
+            if i < 2:
+                legs[rng.randrange(n)] = -1 - i
+            elif sum(legs) % 2:
+                legs[legs.index(max(legs))] += 1
+            grid.append(tuple(legs))
+    return grid
 
 
 def divisor_derivative(p, times):
@@ -200,28 +267,35 @@ class TestStationaryInvariant:
 
 class TestConnectedFromDisconnected:
     def test_one_point_connected_equals_disconnected(self):
-        tables = {(0,): stationary_invariant((0,))}
-        assert connected_from_disconnected((0,), tables) == tables[(0,)]
+        for l in (-2, -1, 0, 3):
+            assert connected_stationary((l,)) == stationary_invariant((l,))
 
     def test_two_point_subtraction(self):
-        legs = (0, 0)
-        tables = {
-            (0,): stationary_invariant((0,)),
-            (1,): stationary_invariant((0,)),
-            (0, 1): stationary_invariant(legs),
-        }
-        conn = connected_from_disconnected(legs, tables)
-        assert conn == tables[(0, 1)] - C2 * C2
+        conn = connected_stationary((0, 0))
+        assert conn == stationary_invariant((0, 0)) - C2 * C2
 
-    def test_missing_table_raises(self):
-        with pytest.raises(InvalidSeries):
-            connected_from_disconnected((0, 0), {(0,): C2})
+    def test_empty_legs_rejected(self):
+        with pytest.raises(InvalidSeries, match="need at least one leg"):
+            connected_stationary(())
+
+    def test_grid_covers_the_cases(self):
+        grid = oracle_grid()
+        assert len(grid) >= 40
+        assert {len(legs) for legs in grid} == set(range(1, 8))
+        assert any(-2 in legs for legs in grid)
+        assert any(-1 in legs for legs in grid)
+        assert any(sum(legs) % 2 for legs in grid)
+        assert any(len(set(legs)) < len(legs) for legs in grid)
+        assert any(len(set(legs)) == len(legs) > 2 for legs in grid)
+
+    @pytest.mark.parametrize("legs", oracle_grid(), ids=str)
+    def test_matches_the_subset_inversion(self, legs):
+        want = connected_from_disconnected(legs, subset_tables(legs))
+        assert connected_stationary(legs) == want
 
     def test_each_multiset_fitted_once(self, monkeypatch):
         legs = (1,) * 7
-        by_size = {k: stationary_invariant((1,) * k) for k in range(1, 8)}
-        tables = {s: by_size[len(s)] for s in _nonempty_subsets(7)}
-        want = connected_from_disconnected(legs, tables)
+        want = connected_from_disconnected(legs, subset_tables(legs))
         calls = []
 
         def counting(sub_legs, z_order=None):
