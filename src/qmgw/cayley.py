@@ -100,7 +100,8 @@ def cayley_frame(order):
 def cayley_transform(p, frame):
     """Substitute the frame images for the generators of a QMPolynomial.
 
-    Through `qm_eval`: Horner in CE2 over cached CE4^b CE6^c columns, one
+    Through `qm_eval`'s series route, the one for a frame other than the
+    Eisenstein one: Horner in CE2 over cached CE4^b CE6^c columns, one
     product per column not cached yet and one per Horner step.
     """
     return qm_eval(p, frame.order, gens=frame.gens())

@@ -8,7 +8,8 @@ closed under the primed derivative, and `quasimodularize` inverts
 q-expansion: it fits a q-series to the weight-w monomial basis and verifies
 the fit on every remaining coefficient.  E2, E4 and E6 have integer
 q-coefficients, so the basis expansions are cached tuples of ints
-(`monomial_ints`) and the fit is one fraction-free (Bareiss) integer solve.
+(`monomial_ints`) and the fit is one fraction-free (Bareiss) integer solve;
+`qm_eval` on the Eisenstein frame runs on the same columns.
 """
 
 from functools import lru_cache
@@ -16,7 +17,7 @@ from types import MappingProxyType
 
 from ._backend import add_into, conv_trunc, exp_mul_dict
 from .errors import InsufficientOrder, InvalidSeries, NotQuasiModular
-from .rational import ONE, ZERO, rat, scaled_ints
+from .rational import ONE, ZERO, from_ints, rat, scaled_ints
 from .series import _SCALARS, THETA_Q, PowerSeries
 
 
@@ -253,19 +254,27 @@ def qm_eval(p, order, gens=None):
 
     By default the Eisenstein q-expansions at the given order; passing
     `gens = (g2, g4, g6)` substitutes any other frame (the Cayley images
-    in s, for instance).  This is the one substitution routine.
+    in s, for instance).  This is the one substitution routine.  Both
+    routes run Horner in the first generator over the columns
+    g4^b g6^c: one step per unit of p's largest E2 exponent, an empty
+    row included.
 
-    Horner in g2 over the columns g4^b g6^c: one product per unit of
-    p's largest E2 exponent, an empty row included.  Each column is one
-    product of a cached predecessor (`_column`, shared across calls per
-    generator pair), so an evaluation also costs one product per column
-    not cached yet; scaling by a coefficient is termwise.  Each Horner
-    step and each column product is a product of series over Q, so it
-    runs on ints (`PowerSeries.__mul__`), on the Eisenstein frame and on
-    the Cayley images alike.
+    On the Eisenstein frame every column has integer coefficients, so
+    the expansion is one integer computation, in the layout of FLINT's
+    fmpq_poly: p's coefficients are scaled to ints U over their least
+    common denominator D, each Horner step convolves ints with E2, each
+    term adds U times the column `monomial_ints((0, b, c), order)` (the
+    cached expansions `quasimodularize` fits on), and each coefficient
+    is wrapped once over D.
+
+    With `gens`, Horner runs on series: each column is one product of a
+    cached predecessor (`_column`, shared across calls per generator
+    pair), and scaling by a coefficient is termwise.
     """
+    if order < 0:
+        raise InvalidSeries(f"cannot expand to the negative order {order}")
     if gens is None:
-        gens = (eisenstein(2, order), eisenstein(4, order), eisenstein(6, order))
+        return _eval_eisenstein(p, order)
     x2, x4, x6 = gens
     if not p.terms:
         return PowerSeries.zero(x2.var, order)
@@ -282,6 +291,25 @@ def qm_eval(p, order, gens=None):
             term = (_column(pair, b, c) if b or c else one) * v
             out = term if out is None else out + term
     return out.truncate(order)
+
+
+def _eval_eisenstein(p, order):
+    """qm_eval on the Eisenstein frame, on ints over one denominator."""
+    terms = p.sorted_terms()
+    nums, den = scaled_ints([v for _, v in terms])
+    rows = {}
+    for ((a, b, c), _), u in zip(terms, nums):
+        rows.setdefault(a, []).append(((0, b, c), u))
+    e2 = _generator_ints(0, order)
+    top = max(rows, default=0)
+    out = [0] * (order + 1)
+    for a in range(top, -1, -1):
+        if a < top:
+            out = conv_trunc(out, e2, order, 0)
+        for key, u in rows.get(a, ()):
+            out = [x + u * y for x, y in zip(out, monomial_ints(key, order))]
+    wrapped = from_ints(out) if den == 1 else [rat(x, den) for x in out]
+    return PowerSeries("q", wrapped)
 
 
 class _GeneratorPair:

@@ -8,7 +8,7 @@ from conftest import coeff_lists, rational_or_integral_lists
 from qmgw import modular
 from qmgw import series as series_module
 from qmgw.errors import InsufficientOrder, InvalidSeries, VariableMismatch
-from qmgw.modular import QMPolynomial, qm_eval
+from qmgw.modular import E2, E4, QMPolynomial, qm_eval
 from qmgw.rational import ONE, ZERO, Rational, rat
 from qmgw.series import D_DS, THETA_Q, PowerSeries
 from qmgw._backend import conv_trunc
@@ -452,6 +452,32 @@ def random_gens(rng, var, order, start=0):
     )
 
 
+def eisenstein_grid():
+    """Seeded generator polynomials for the Eisenstein frame: the zero
+    polynomial, a constant, one with an empty E2 row, homogeneous ones
+    of weight 0-40 and mixed-weight ones, with integral and non-integral
+    coefficients."""
+    rng = random.Random(30)
+    grid = [
+        QMPolynomial.zero(),
+        QMPolynomial.constant(rat(-5, 3)),
+        QMPolynomial({(2, 0, 0): rat(1, 12), (0, 1, 0): rat(-7)}),
+    ]
+    for w in range(0, 42, 2):
+        keys = modular.weight_basis(w)
+        grid.append(QMPolynomial({
+            key: rat(rng.randint(-99, 99), rng.choice((1, 1, 2, 12, 691)))
+            for key in rng.sample(keys, rng.randint(1, min(len(keys), 5)))
+        }))
+    for _ in range(8):
+        grid.append(QMPolynomial({
+            rng.choice(modular.weight_basis(2 * rng.randint(0, 20))):
+                rat(rng.randint(-99, 99), rng.randint(1, 24))
+            for _ in range(rng.randint(2, 6))
+        }))
+    return grid
+
+
 class TestHornerEval:
     """qm_eval on any generator triple: Horner in x2 over cached x4^b x6^c
     columns."""
@@ -467,6 +493,35 @@ class TestHornerEval:
         assert (got.start, got.order, got.coeffs) == (
             want.start, want.order, want.coeffs,
         )
+
+    @pytest.mark.parametrize("order", [0, 1, 5, 17, 40, 200])
+    def test_eisenstein_frame_matches_the_series_route(self, order):
+        # the default frame runs on ints; the same Horner on the explicit
+        # Eisenstein series runs on PowerSeries
+        gens = tuple(modular.eisenstein(k, order) for k in (2, 4, 6))
+        grid = eisenstein_grid()
+        assert any(not p for p in grid) and any(
+            p.weight is None and p for p in grid
+        )
+        for p in grid:
+            got = qm_eval(p, order)
+            want = qm_eval(p, order, gens)
+            assert (got.var, got.start, got.order, got.coeffs) == (
+                want.var, want.start, want.order, want.coeffs,
+            ), p
+
+    @pytest.mark.parametrize("frame", ["eisenstein", "series"])
+    @pytest.mark.parametrize(
+        "p", [QMPolynomial.zero(), QMPolynomial.constant(2), E2 * E4],
+        ids=["zero", "constant", "E2E4"],
+    )
+    def test_negative_order_rejected(self, p, frame):
+        gens = None
+        if frame == "series":
+            gens = tuple(modular.eisenstein(k, 3) for k in (2, 4, 6))
+        message = r"^cannot expand to the negative order -1$"
+        with pytest.raises(InvalidSeries, match=message):
+            qm_eval(p, -1, gens)
 
     def test_no_terms(self):
         gens = random_gens(random.Random(0), "s", 3)
@@ -525,8 +580,10 @@ class TestHornerEval:
         warm = values()
         assert warm == values()
         modular._column.cache_clear()
+        modular.monomial_ints.cache_clear()
         cold = values()
         assert modular._column.cache_info().misses > 0
+        assert modular.monomial_ints.cache_info().misses > 0
         assert cold == warm
 
 
