@@ -1,8 +1,19 @@
 """The hot arithmetic kernels, shared by every series and polynomial type.
 
 Every kernel is ring-generic: coefficients only need ``+``, ``*`` and
-truth-testing, so the same code paths serve exact rationals and the
-Eisenstein-generator polynomials used as series coefficients higher up.
+truth-testing.  Which ring each one sees:
+
+- ``exp_mul_dict`` and ``add_into`` get ints from every ``QMPolynomial``
+  (integer numerators over one denominator): its products, sums and
+  derivations.  In the determinant check route their values are the
+  ``QMPolynomial`` coefficients of series in z_1..z_N, whose own products
+  and sums then run on ints; the Virasoro polynomials bring ints and
+  Fractions.
+- ``conv_trunc`` gets ints for products of series over Q and for the
+  q-expansions on the Eisenstein frame, and still sees ``QMPolynomial``
+  coefficients for series over generator polynomials (the prime form,
+  1/Theta and the determinant's one-variable ingredients).
+
 The sparse ``{key: coeff}`` dicts of this package never hold a zero; this
 module is the one place that keeps that rule.
 """
@@ -74,3 +85,18 @@ def exp_mul_dict(da, db, cap=None):
                 else:
                     del out[k]
     return out
+
+
+class Frozen:
+    """Base of the value types (series, generator polynomials, operators):
+    instances refuse attribute assignment and deletion, so a value served
+    from a cache cannot be changed by a caller.  Builders set their slots
+    through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} values are immutable")

@@ -19,8 +19,9 @@ from .theta import one_over_theta, onepoint_qm, prime_form
 
 def d_dC2(p):
     """-24 * d/dE2 on a generator polynomial; a derivation, weight -2."""
-    return QMPolynomial._of(
-        {(a - 1, b, c): -24 * a * v for (a, b, c), v in p.terms.items() if a}
+    return QMPolynomial._from_ints(
+        {(a - 1, b, c): -24 * a * v for (a, b, c), v in p.nums.items() if a},
+        p.den,
     )
 
 

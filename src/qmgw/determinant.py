@@ -24,12 +24,11 @@ shift by prod z_i^{-1}, where they belong.
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial, prod
 from types import MappingProxyType
 
 from ._backend import add_into, conv_trunc, exp_mul_dict
 from .errors import InvalidSeries
-from .rational import ONE
 from .theta import QM_ZERO, one_over_theta, prime_form
 
 MAX_LEGS = 4
@@ -74,15 +73,16 @@ class MultiZPoly:
 
 
 def _linear_form(subset, n_legs):
-    """z_{i1}+...+z_{ik} as an exponent dict."""
+    """z_{i1}+...+z_{ik} as an exponent dict with int coefficients."""
     return {
-        tuple(1 if j == i else 0 for j in range(n_legs)): ONE for i in subset
+        tuple(1 if j == i else 0 for j in range(n_legs)): 1 for i in subset
     }
 
 
 def _linear_form_powers(subset, n_legs, max_degree):
-    """Powers (z_{i1}+...+z_{ik})^e for e = 0..max_degree, as exponent dicts."""
-    powers = [{(0,) * n_legs: ONE}]
+    """Powers (z_{i1}+...+z_{ik})^e for e = 0..max_degree, as exponent dicts
+    with int (multinomial) coefficients."""
+    powers = [{(0,) * n_legs: 1}]
     linear = _linear_form(subset, n_legs)
     for _ in range(max_degree):
         powers.append(exp_mul_dict(powers[-1], linear, max_degree))
@@ -245,16 +245,16 @@ def npoint(n_legs, z_order):
             one_term = exp_mul_dict(one_term, _linear_form(s, n))
             valid += 1
 
-    # symmetrize over the legs
+    # symmetrize over the legs: the sum over all N! permutations is, at a
+    # key, the sum of one_term over the key's distinct rearrangements
+    # times the number of permutations that fix the key
+    orbits = add_into(
+        {}, ((tuple(sorted(key)), v) for key, v in one_term.items())
+    )
     total = {}
-    for perm in permutations(range(n)):
-        add_into(
-            total,
-            (
-                (tuple(key[perm[i]] for i in range(n)), v)
-                for key, v in one_term.items()
-            ),
-        )
+    for canon, v in orbits.items():
+        v = v * prod(factorial(canon.count(e)) for e in set(canon))
+        total.update(dict.fromkeys(permutations(canon), v))
 
     # strip prod_{|S| >= 2} z_S by exact linear-form divisions
     for s in subsets:

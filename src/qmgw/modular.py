@@ -2,23 +2,29 @@
 
 QMPolynomial is the symbolic representation of correlation functions: a
 map from exponent triples (a, b, c) <-> E2^a E4^b E6^c to rational
-coefficients; the weight is read off the terms (2a + 4b + 6c when every
-monomial agrees on it).  The Ramanujan identities make the ring
-closed under the primed derivative, and `quasimodularize` inverts
-q-expansion: it fits a q-series to the weight-w monomial basis and verifies
-the fit on every remaining coefficient.  E2, E4 and E6 have integer
-q-coefficients, so the basis expansions are cached tuples of ints
-(`monomial_ints`) and the fit is one fraction-free (Bareiss) integer solve;
+coefficients, held as integer numerators over one denominator (the
+content layout of FLINT's fmpq_mpoly), so products, sums and derivations
+run on ints and the Fraction coefficients are only a view; the weight is
+read off the terms (2a + 4b + 6c when every monomial agrees on it).  The
+Ramanujan identities make the ring closed under the primed derivative, and
+`quasimodularize` inverts q-expansion: it fits a q-series to the weight-w
+monomial basis and verifies the fit on every remaining coefficient.  E2,
+E4 and E6 have integer q-coefficients, so the basis expansions are cached
+tuples of ints (`monomial_ints`), the fit is one fraction-free (Bareiss)
+integer solve whose pair (y, det) is the polynomial's layout, and
 `qm_eval` on the Eisenstein frame runs on the same columns.
 """
 
 from functools import lru_cache
+from math import gcd, lcm
 from types import MappingProxyType
 
-from ._backend import add_into, conv_trunc, exp_mul_dict
+from ._backend import Frozen, add_into, conv_trunc, exp_mul_dict
 from .errors import InsufficientOrder, InvalidSeries, NotQuasiModular
 from .rational import ONE, ZERO, from_ints, rat, scaled_ints
 from .series import _SCALARS, THETA_Q, PowerSeries
+
+_set = object.__setattr__
 
 
 @lru_cache(maxsize=None)
@@ -70,40 +76,75 @@ def euler_function(order):
     return PowerSeries("q", euler_coefficients(order))
 
 
-class QMPolynomial:
+def _exponents(key):
+    """`key` as a tuple of three ints >= 0, or InvalidSeries naming it."""
+    try:
+        exps = tuple(key)
+    except TypeError:
+        exps = ()
+    if len(exps) != 3 or not all(type(e) is int and e >= 0 for e in exps):
+        raise InvalidSeries(
+            f"exponent key {key!r} is not three ints >= 0 (E2, E4, E6)"
+        )
+    return exps
+
+
+class QMPolynomial(Frozen):
     """Polynomial in the generators E2, E4, E6 over the rationals.
 
-    ``terms`` is a read-only mapping, so a cached value cannot be changed
-    by a caller; the weight is read off the terms.  Public construction
-    coerces every coefficient through ``rat``; results of ring operations
-    are built by ``_of`` and skip that pass, as ``PowerSeries._like`` does.
+    Stored in the content layout of FLINT's fmpq_mpoly: ``nums``, a
+    read-only map from exponent triples to nonzero ints, over one
+    denominator ``den > 0``, normalised so that gcd(den, *nums) == 1.
+    That form is canonical, so equality and hashing read (nums, den).  A
+    product is one ``exp_mul_dict`` on ints over den1 * den2, a sum
+    rescales both sides to the lcm of their denominators, a scalar acts
+    on the ints and multiplies den by its own denominator; each result is
+    normalised once.
+
+    ``terms``, the reduced Fraction of each monomial, is the public
+    read-only view: it is built on first read and kept.  The weight is
+    read off the keys.  Public construction checks every key and coerces
+    every coefficient through ``rat``; ring results are built by
+    ``_from_ints`` and skip both.  Values are immutable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den", "_terms")
 
     def __init__(self, terms=None, weight=None):
         """`weight`, when given, is asserted for a nonzero polynomial."""
         clean = {}
         if terms:
             for key, c in terms.items():
+                key = _exponents(key)
                 c = rat(c)
                 if c:
-                    clean[tuple(key)] = c
-        self.terms = MappingProxyType(clean)
+                    clean[key] = c
+        nums, den = scaled_ints(list(clean.values()))
+        self._fill(dict(zip(clean, nums)), den)
         if weight is not None and clean and self.weight != weight:
             raise InvalidSeries(f"{self!r} is not of declared weight {weight}")
 
+    def _fill(self, nums, den):
+        """Set the slots to nums/den divided by gcd(den, *nums)."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {k: v // g for k, v in nums.items()}
+        _set(self, "nums", MappingProxyType(nums))
+        _set(self, "den", den)
+        return self
+
     @classmethod
-    def _of(cls, clean):
-        """Wrap a dict of tuple keys and nonzero rationals; no copy, no rat."""
-        out = object.__new__(cls)
-        out.terms = MappingProxyType(clean)
-        return out
+    def _from_ints(cls, nums, den=1):
+        """nums/den for a dict of exponent triples and nonzero ints and an
+        int den > 0, normalised; `nums` is not copied unless reduced."""
+        return object.__new__(cls)._fill(nums, den)
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls):
-        return cls._of({})
+        return cls._from_ints({})
 
     @classmethod
     def constant(cls, value):
@@ -122,11 +163,24 @@ class QMPolynomial:
         return cls({(0, 0, 1): ONE})
 
     # -- queries -------------------------------------------------------------
+    @property
+    def terms(self):
+        """{(a, b, c): reduced Fraction}, read-only, built once."""
+        try:
+            return self._terms
+        except AttributeError:
+            nums = self.nums
+            view = MappingProxyType(
+                dict(zip(nums, from_ints(nums.values(), self.den)))
+            )
+            _set(self, "_terms", view)
+            return view
+
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def coefficient(self, a, b, c):
         return self.terms.get((a, b, c), ZERO)
@@ -134,7 +188,7 @@ class QMPolynomial:
     @property
     def weight(self):
         """The common 2a + 4b + 6c of the monomials, or None if zero/mixed."""
-        weights = {2 * a + 4 * b + 6 * c for (a, b, c) in self.terms}
+        weights = {2 * a + 4 * b + 6 * c for (a, b, c) in self.nums}
         if len(weights) == 1:
             return weights.pop()
         return None
@@ -144,14 +198,14 @@ class QMPolynomial:
 
     def __eq__(self, other):
         if isinstance(other, QMPolynomial):
-            return self.terms == other.terms
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "QM<0>"
         bits = []
         for (a, b, c), v in self.sorted_terms():
@@ -169,13 +223,31 @@ class QMPolynomial:
             if not isinstance(other, _SCALARS):
                 return NotImplemented
             other = QMPolynomial.constant(other)
-        out = add_into(dict(self.terms), other.terms.items())
-        return QMPolynomial._of(out)
+        if len(self.nums) < len(other.nums):
+            self, other = other, self  # loop over the shorter one
+        if not other.nums:
+            return self
+        den = self.den
+        if den != other.den:
+            den = lcm(den, other.den)
+        scale = den // self.den
+        if scale == 1:
+            out = dict(self.nums)
+        else:
+            out = {k: v * scale for k, v in self.nums.items()}
+        scale = den // other.den
+        if scale == 1:
+            add_into(out, other.nums.items())
+        else:
+            add_into(out, ((k, v * scale) for k, v in other.nums.items()))
+        return QMPolynomial._from_ints(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QMPolynomial._of({k: -v for k, v in self.terms.items()})
+        return QMPolynomial._from_ints(
+            {k: -v for k, v in self.nums.items()}, self.den
+        )
 
     def __sub__(self, other):
         if not isinstance(other, QMPolynomial):
@@ -188,14 +260,22 @@ class QMPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, QMPolynomial):
-            if not isinstance(other, _SCALARS):
-                return NotImplemented
+        if isinstance(other, QMPolynomial):
+            return QMPolynomial._from_ints(
+                exp_mul_dict(self.nums, other.nums), self.den * other.den
+            )
+        if type(other) is int:
+            num, den = other, 1
+        elif isinstance(other, _SCALARS):
             c = rat(other)
-            if not c:
-                return QMPolynomial.zero()
-            return QMPolynomial._of({k: c * v for k, v in self.terms.items()})
-        return QMPolynomial._of(exp_mul_dict(self.terms, other.terms))
+            num, den = c.numerator, c.denominator
+        else:
+            return NotImplemented
+        if not num:
+            return QMPolynomial.zero()
+        return QMPolynomial._from_ints(
+            {k: num * v for k, v in self.nums.items()}, self.den * den
+        )
 
     __rmul__ = __mul__
 
@@ -204,7 +284,7 @@ class QMPolynomial:
 
     def __rtruediv__(self, scalar):
         """scalar / self; only the nonzero rational constants are units."""
-        if set(self.terms) != {(0, 0, 0)}:
+        if set(self.nums) != {(0, 0, 0)}:
             raise InvalidSeries(
                 "only a nonzero rational constant generator polynomial is invertible"
             )
@@ -213,7 +293,7 @@ class QMPolynomial:
     def __pow__(self, n):
         if n < 0:
             raise InvalidSeries("no negative power of a generator polynomial")
-        out = QMPolynomial.constant(ONE)
+        out = QMPolynomial._from_ints({(0, 0, 0): 1})
         for _ in range(n):
             out = out * self
         return out
@@ -224,29 +304,30 @@ E4 = QMPolynomial.e4()
 E6 = QMPolynomial.e6()
 
 
-#: per generator slot, the derivative of that generator as a term dict
+#: per generator slot, 12 times the derivative of that generator
 _RAMANUJAN_IMAGES = (
-    {(2, 0, 0): rat(1, 12), (0, 1, 0): rat(-1, 12)},
-    {(1, 1, 0): rat(1, 3), (0, 0, 1): rat(-1, 3)},
-    {(1, 0, 1): rat(1, 2), (0, 2, 0): rat(-1, 2)},
+    {(2, 0, 0): 1, (0, 1, 0): -1},
+    {(1, 1, 0): 4, (0, 0, 1): -4},
+    {(1, 0, 1): 6, (0, 2, 0): -6},
 )
 
 
 def ramanujan_derive(p):
     """The derivation with E2'=(E2^2-E4)/12, E4'=(E2E4-E6)/3, E6'=(E2E6-E4^2)/2.
 
-    Raises the weight by 2; kills constants.
+    Raises the weight by 2; kills constants.  Runs on p's ints against
+    the images scaled by 12, over 12 den.
     """
     out = {}
     for slot, image in enumerate(_RAMANUJAN_IMAGES):
         # d/d(generator) of every term, by the power rule
         lowered = {
             key[:slot] + (key[slot] - 1,) + key[slot + 1 :]: v * key[slot]
-            for key, v in p.terms.items()
+            for key, v in p.nums.items()
             if key[slot]
         }
         add_into(out, exp_mul_dict(lowered, image).items())
-    return QMPolynomial._of(out)
+    return QMPolynomial._from_ints(out, 12 * p.den)
 
 
 def qm_eval(p, order, gens=None):
@@ -294,11 +375,9 @@ def qm_eval(p, order, gens=None):
 
 
 def _eval_eisenstein(p, order):
-    """qm_eval on the Eisenstein frame, on ints over one denominator."""
-    terms = p.sorted_terms()
-    nums, den = scaled_ints([v for _, v in terms])
+    """qm_eval on the Eisenstein frame, on p's ints over its denominator."""
     rows = {}
-    for ((a, b, c), _), u in zip(terms, nums):
+    for (a, b, c), u in p.nums.items():
         rows.setdefault(a, []).append(((0, b, c), u))
     e2 = _generator_ints(0, order)
     top = max(rows, default=0)
@@ -308,8 +387,7 @@ def _eval_eisenstein(p, order):
             out = conv_trunc(out, e2, order, 0)
         for key, u in rows.get(a, ()):
             out = [x + u * y for x, y in zip(out, monomial_ints(key, order))]
-    wrapped = from_ints(out) if den == 1 else [rat(x, den) for x in out]
-    return PowerSeries("q", wrapped)
+    return PowerSeries("q", from_ints(out, p.den))
 
 
 class _GeneratorPair:
@@ -450,8 +528,10 @@ def quasimodularize(f, w, margin=10, basis=None):
                 f"residual at q^{i}: fit gives {rat(acc, den)}, series has "
                 f"{have} (weight {w})"
             )
-    return QMPolynomial(
-        {key: rat(y, den) for key, y in zip(basis, nums)}, weight=w
+    if den < 0:
+        nums, den = [-y for y in nums], -den
+    return QMPolynomial._from_ints(
+        {key: y for key, y in zip(basis, nums) if y}, den
     )
 
 

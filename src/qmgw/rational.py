@@ -33,9 +33,12 @@ def scaled_ints(values):
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def from_ints(values):
-    """Each int of `values` as a Fraction: a denominator of 1 needs no gcd."""
-    return [Rational(n) for n in values]
+def from_ints(values, den=1):
+    """Each int of `values` over den > 0 as a reduced Fraction; a
+    denominator of 1 needs no gcd."""
+    if den == 1:
+        return [Rational(n) for n in values]
+    return [Rational(n, den) for n in values]
 
 
 def rat_str(x):

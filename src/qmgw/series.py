@@ -52,7 +52,7 @@ from numbers import Number
 
 from .errors import InsufficientOrder, InvalidSeries, VariableMismatch
 from .rational import ONE, ZERO, from_ints, rat, scaled_ints
-from ._backend import conv_trunc
+from ._backend import Frozen, conv_trunc
 
 VARIABLES = ("q", "s", "t", "x", "z")
 
@@ -62,6 +62,8 @@ DERIVE_MODES = (THETA_Q, D_DS)
 
 # Coefficients and scalars of these types are coerced through rat.
 _SCALARS = (Number, str)
+
+_set = object.__setattr__
 
 
 def _check_tag(var):
@@ -120,7 +122,7 @@ def _exp_loop(c, zero):
     return out
 
 
-class PowerSeries:
+class PowerSeries(Frozen):
     """Σ_{n=start}^{order} c_n var^n + O(var^(order+1))."""
 
     __slots__ = ("var", "coeffs", "start", "order", "_zero")
@@ -138,11 +140,11 @@ class PowerSeries:
         self._fill(var, coeffs, start, zero)
 
     def _fill(self, var, coeffs, start, zero):
-        self.var = var
-        self.coeffs = coeffs
-        self.start = start
-        self.order = start + len(coeffs) - 1
-        self._zero = zero
+        _set(self, "var", var)
+        _set(self, "coeffs", coeffs)
+        _set(self, "start", start)
+        _set(self, "order", start + len(coeffs) - 1)
+        _set(self, "_zero", zero)
 
     def _like(self, coeffs, start, var=None):
         """A result over the same ring; coefficients are taken as they are."""
@@ -299,7 +301,7 @@ class PowerSeries:
         else:
             a, b, den = ints
             out = conv_trunc(a, b, order - start, 0)
-            out = from_ints(out) if den == 1 else [rat(c, den) for c in out]
+            out = from_ints(out, den)
         return self._like(out, start)
 
     __rmul__ = __mul__

@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
 
-from ._backend import add_into
+from ._backend import Frozen, add_into
 from .errors import InvalidSeries
 from .rational import ONE, rat, scaled_ints
 from .records import CheckReport
@@ -106,7 +106,7 @@ def poly_mul_mono(p, mono, c):
 # first-order operators
 
 
-class DiffOperator:
+class DiffOperator(Frozen):
     """sum c * t[src] d/d t[dst] over the read-only, zero-free dict
     `terms`: {(src, dst): c}.  An affine term c * d/d t[dst] has the
     empty source ().
@@ -120,12 +120,15 @@ class DiffOperator:
     __slots__ = ("terms", "_by_dst")
 
     def __init__(self, pairs):
-        self.terms = MappingProxyType(add_into({}, pairs))
+        terms = add_into({}, pairs)
         by_dst = {}
-        for (src, dst), c in self.terms.items():
+        for (src, dst), c in terms.items():
             by_dst.setdefault(dst, []).append((src, c))
-        self._by_dst = MappingProxyType(
-            {dst: tuple(row) for dst, row in by_dst.items()}
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+        object.__setattr__(
+            self,
+            "_by_dst",
+            MappingProxyType({dst: tuple(row) for dst, row in by_dst.items()}),
         )
 
     def __eq__(self, other):

@@ -84,6 +84,17 @@ class TestFrame:
             frame.e2 = frame.e4
         assert frame == cayley_frame.__wrapped__(16)
 
+    def test_served_series_are_immutable(self):
+        e4 = cayley_frame(10).e4
+        with pytest.raises(AttributeError):
+            e4.order = 3
+        with pytest.raises(AttributeError):
+            e4.coeffs = (0,)
+        with pytest.raises(AttributeError):
+            del e4.var
+        assert cayley_frame(10).e4.order == 10
+        assert cayley_frame(10) == cayley_frame.__wrapped__(10)
+
 
 class TestTransform:
     def test_constant_passes_through(self, frame):

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import rationals
 from qmgw import modular
+from qmgw.anomaly import d_dC2
 from qmgw.cayley import cayley_frame
 from qmgw.errors import InsufficientOrder, InvalidSeries, NotQuasiModular
 from qmgw.modular import (
@@ -161,6 +164,203 @@ class TestQMPolynomial:
     def test_qm_eval_ramanujan_identity(self):
         lhs = qm_eval(E2 * E2 - 12 * ramanujan_derive(E2), 10)
         assert lhs == eisenstein(4, 10)
+
+
+class TestExponentKeys:
+    @pytest.mark.parametrize(
+        "key",
+        [(-1, 0, 0), (0, 0, -2), (1, 0), (1, 0, 0, 0), (1.0, 0, 0), ("1", 0, 0), 5, "abc"],
+    )
+    def test_public_constructor_rejects_bad_keys(self, key):
+        with pytest.raises(InvalidSeries, match="exponent key") as err:
+            QMPolynomial({key: 1})
+        assert repr(key) in str(err.value)
+
+    def test_bad_key_rejected_even_with_zero_coefficient(self):
+        with pytest.raises(InvalidSeries):
+            QMPolynomial({(-1, 0, 0): 0})
+
+    def test_sequences_of_three_ints_accepted(self):
+        assert QMPolynomial({(1, 0, 0): 1}) == E2
+        assert QMPolynomial({(0, 1, 0): 1}) == QMPolynomial({(0, 1, 0): ONE})
+        assert QMPolynomial({(0, 0, 0): 0}).is_zero()
+
+
+# -- a Fraction-dict reference for the ring operations --------------------
+# Term dicts {(a, b, c): Fraction}, zeros dropped, each operation pair by
+# pair: the layout QMPolynomial used before it kept ints over one
+# denominator.
+
+
+def ref_mul(a, b):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, 0) + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_scale(a, c):
+    return {k: c * v for k, v in a.items() if c * v}
+
+
+def ref_lower(a, slot):
+    """d/d(generator `slot`) by the power rule."""
+    return {
+        k[:slot] + (k[slot] - 1,) + k[slot + 1 :]: k[slot] * v
+        for k, v in a.items()
+        if k[slot]
+    }
+
+
+REF_IMAGES = (
+    {(2, 0, 0): Fraction(1, 12), (0, 1, 0): Fraction(-1, 12)},
+    {(1, 1, 0): Fraction(1, 3), (0, 0, 1): Fraction(-1, 3)},
+    {(1, 0, 1): Fraction(1, 2), (0, 2, 0): Fraction(-1, 2)},
+)
+
+
+def ref_ramanujan(a):
+    out = {}
+    for slot, image in enumerate(REF_IMAGES):
+        out = ref_add(out, ref_mul(ref_lower(a, slot), image))
+    return out
+
+
+def assert_holds(p, terms):
+    """p is `terms` in the canonical int layout: nonzero ints over
+    den > 0 with gcd(den, *nums) == 1, so a value built another way is
+    equal and hashes alike."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(v) is int and v for v in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+    assert {k: Fraction(v, p.den) for k, v in p.nums.items()} == terms
+    assert dict(p.terms) == terms
+    twin = QMPolynomial(terms)
+    assert twin == p and hash(twin) == hash(p)
+
+
+term_dicts = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3),
+    rationals(max_num=40, max_den=36),
+    max_size=6,
+)
+scalars = st.one_of(st.integers(-30, 30), rationals(max_num=30, max_den=12))
+
+
+class TestIntegerLayout:
+    """QMPolynomial keeps ints over one denominator; every operation is
+    pinned to the Fraction-dict reference above."""
+
+    @given(term_dicts, term_dicts)
+    def test_product(self, a, b):
+        assert_holds(QMPolynomial(a) * QMPolynomial(b), ref_mul(a, b))
+
+    @given(term_dicts, term_dicts)
+    def test_sum_and_difference(self, a, b):
+        p, q = QMPolynomial(a), QMPolynomial(b)
+        assert_holds(p + q, ref_add(a, b))
+        assert_holds(p - q, ref_add(a, ref_scale(b, -1)))
+
+    @given(term_dicts, scalars)
+    def test_scalar_multiple(self, a, c):
+        p = QMPolynomial(a)
+        assert_holds(p * c, ref_scale(a, c))
+        assert_holds(c * p, ref_scale(a, c))
+        assert_holds(-p, ref_scale(a, -1))
+        if c:
+            assert_holds(p / c, ref_scale(a, 1 / Fraction(c)))
+            assert_holds(p + c, ref_add(a, {(0, 0, 0): Fraction(c)}))
+
+    @given(term_dicts)
+    def test_ramanujan_derive(self, a):
+        assert_holds(ramanujan_derive(QMPolynomial(a)), ref_ramanujan(a))
+
+    @given(term_dicts)
+    def test_d_dC2(self, a):
+        assert_holds(d_dC2(QMPolynomial(a)), ref_scale(ref_lower(a, 0), -24))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # neither denominator divides the other
+            ({(1, 0, 0): rat(1, 6)}, {(1, 0, 0): rat(1, 10), (0, 1, 0): rat(3, 4)}),
+            # one divides the other, and the sum cancels down to den 2
+            ({(1, 0, 0): rat(1, 6)}, {(1, 0, 0): rat(1, 3)}),
+            # the sum cancels to zero
+            ({(0, 0, 1): rat(5, 7)}, {(0, 0, 1): rat(-5, 7)}),
+            ({(2, 1, 0): rat(-7, 12), (0, 0, 0): 3}, {(2, 1, 0): rat(1, 8)}),
+        ],
+    )
+    def test_sums_over_unequal_denominators(self, a, b):
+        p, q = QMPolynomial(a), QMPolynomial(b)
+        assert_holds(p + q, ref_add(a, b))
+        assert_holds(q + p, ref_add(a, b))
+
+    def test_products_and_multiples_reduce(self):
+        # (3/4 E2) (2/9 E4) = 1/6 E2 E4, and 6 (1/6 E2 E4) = E2 E4
+        p = QMPolynomial({(1, 0, 0): rat(3, 4)}) * QMPolynomial({(0, 1, 0): rat(2, 9)})
+        assert (dict(p.nums), p.den) == ({(1, 1, 0): 1}, 6)
+        q = p * 6
+        assert (dict(q.nums), q.den) == ({(1, 1, 0): 1}, 1)
+        assert (p * 0).is_zero() and (p * 0).den == 1
+
+    def test_zero_is_canonical(self):
+        for z in (QMPolynomial.zero(), QMPolynomial({}), E2 - E2, E4 * 0):
+            assert (dict(z.nums), z.den) == ({}, 1)
+            assert z == QMPolynomial.zero() and hash(z) == hash(QMPolynomial.zero())
+
+    def test_terms_view_is_built_once(self):
+        p = E2 * rat(1, 3) + E4 * rat(5, 6)
+        assert p.terms is p.terms
+        assert dict(p.terms) == {(1, 0, 0): rat(1, 3), (0, 1, 0): rat(5, 6)}
+        assert all(type(v) is Fraction for v in p.terms.values())
+
+    def test_fit_returns_the_bareiss_pair(self, monkeypatch):
+        # the fit wraps its integer solution without rat per coefficient
+        p = rat(-5, 11) * E2**3 * E4 + rat(7, 3) * E4 * E6 - E2**2 * E6 * rat(1, 4)
+        series = qm_eval(p, len(weight_basis(10)) + 10)
+
+        def refuse(*args):
+            raise AssertionError("rat called on the fitted coefficients")
+
+        monkeypatch.setattr(modular, "rat", refuse)
+        got = quasimodularize(series, 10)
+        monkeypatch.undo()
+        assert_holds(got, dict(p.terms))
+
+
+class TestImmutable:
+    """A value served from a cache cannot be rebound by a caller."""
+
+    def test_generator_polynomial(self):
+        p = reduce_e2k(8)
+        for name in ("terms", "nums", "den", "weight"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        with pytest.raises(TypeError):
+            p.nums[(0, 0, 0)] = 1
+        assert reduce_e2k(8) == E4 * E4
+
+    def test_power_series(self):
+        e4 = eisenstein(4, 10)
+        for name in ("coeffs", "order", "start", "var"):
+            with pytest.raises(AttributeError):
+                setattr(e4, name, 3)
+            with pytest.raises(AttributeError):
+                delattr(e4, name)
+        assert eisenstein(4, 10).order == 10
+        assert eisenstein(4, 10).coefficient(1) == 240
 
 
 def eval_by_repeated_squaring(p, order, gens):

@@ -318,6 +318,16 @@ class TestDiffOperatorAlgebra:
             op._by_dst[dst].append(((), ONE))
         assert op == virasoro_op.__wrapped__("curve", 1, 6)
 
+    def test_cached_operator_cannot_be_rebound(self):
+        op = virasoro_op("curve", 1, 10)
+        with pytest.raises(AttributeError):
+            op.terms = {}
+        with pytest.raises(AttributeError):
+            op._by_dst = {}
+        with pytest.raises(AttributeError):
+            del op.terms
+        assert virasoro_op("curve", 1, 10) == virasoro_op.__wrapped__("curve", 1, 10)
+
     def test_action_linearity(self):
         op = virasoro_op("curve", 1, 6)
         p = poly_var(0, 3)
