@@ -87,11 +87,20 @@ def exp_mul_dict(da, db, cap=None):
     return out
 
 
+def _thaw(cls, state):
+    """Rebuild a Frozen value from its (slot, value) pairs."""
+    out = object.__new__(cls)
+    for name, value in state:
+        object.__setattr__(out, name, value)
+    return out
+
+
 class Frozen:
     """Base of the value types (series, generator polynomials, operators):
     instances refuse attribute assignment and deletion, so a value served
     from a cache cannot be changed by a caller.  Builders set their slots
-    through ``object.__setattr__``."""
+    through ``object.__setattr__``, and so does ``copy`` or ``pickle``
+    through ``__reduce__``."""
 
     __slots__ = ()
 
@@ -100,3 +109,7 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __reduce__(self):
+        state = [(n, getattr(self, n)) for n in self.__slots__ if hasattr(self, n)]
+        return _thaw, (type(self), state)

@@ -27,27 +27,30 @@ from itertools import combinations, permutations
 from math import comb, factorial, prod
 from types import MappingProxyType
 
-from ._backend import add_into, conv_trunc, exp_mul_dict
+from ._backend import Frozen, add_into, conv_trunc, exp_mul_dict
 from .errors import InvalidSeries
 from .theta import QM_ZERO, one_over_theta, prime_form
 
 MAX_LEGS = 4
 
 
-class MultiZPoly:
+class MultiZPoly(Frozen):
     """Truncated symmetric series in z_1..z_N with QMPolynomial coefficients.
 
     Keys are exponent tuples (each entry >= -1), values nonzero
     QMPolynomials; monomials of total degree > cap are not represented.
+    Immutable: `npoint` serves it from a cache.
     """
 
     __slots__ = ("n_legs", "cap", "data")
 
     def __init__(self, n_legs, cap, data):
-        self.n_legs = n_legs
-        self.cap = cap
-        self.data = MappingProxyType(
-            {k: v for k, v in data.items() if not v.is_zero()}
+        object.__setattr__(self, "n_legs", n_legs)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(
+            self,
+            "data",
+            MappingProxyType({k: v for k, v in data.items() if not v.is_zero()}),
         )
 
     def coefficient(self, exponents):

@@ -227,19 +227,11 @@ class QMPolynomial(Frozen):
             self, other = other, self  # loop over the shorter one
         if not other.nums:
             return self
-        den = self.den
-        if den != other.den:
-            den = lcm(den, other.den)
-        scale = den // self.den
-        if scale == 1:
-            out = dict(self.nums)
-        else:
-            out = {k: v * scale for k, v in self.nums.items()}
-        scale = den // other.den
-        if scale == 1:
-            add_into(out, other.nums.items())
-        else:
-            add_into(out, ((k, v * scale) for k, v in other.nums.items()))
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        nums, pairs = self.nums, other.nums.items()
+        out = {k: v * sa for k, v in nums.items()} if sa > 1 else dict(nums)
+        add_into(out, ((k, v * sb) for k, v in pairs) if sb > 1 else pairs)
         return QMPolynomial._from_ints(out, den)
 
     __radd__ = __add__

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -361,6 +363,13 @@ class TestImmutable:
                 delattr(e4, name)
         assert eisenstein(4, 10).order == 10
         assert eisenstein(4, 10).coefficient(1) == 240
+
+    def test_copy_and_pickle_still_work(self):
+        e4 = eisenstein(4, 10)
+        assert copy.copy(e4) == e4 and copy.deepcopy(e4) == e4
+        assert pickle.loads(pickle.dumps(e4)) == e4
+        p = E2 * rat(1, 3) + E6
+        assert copy.copy(p) == p and hash(copy.copy(p)) == hash(p)
 
 
 def eval_by_repeated_squaring(p, order, gens):

@@ -330,3 +330,12 @@ class TestMultiZPoly:
             npoint(2, 2).data[(1, 1)] = QMPolynomial.constant(ONE)
         assert npoint(2, 2).coefficient((1, 1)) == before
         assert before.terms
+
+    def test_cached_series_cannot_be_rebound(self):
+        served = npoint(2, 2)
+        for name in ("data", "n_legs", "cap"):
+            with pytest.raises(AttributeError):
+                setattr(served, name, {})
+            with pytest.raises(AttributeError):
+                delattr(served, name)
+        assert npoint(2, 2) == npoint.__wrapped__(2, 2)
