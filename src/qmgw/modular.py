@@ -78,15 +78,11 @@ def euler_function(order):
 
 def _exponents(key):
     """`key` as a tuple of three ints >= 0, or InvalidSeries naming it."""
-    try:
-        exps = tuple(key)
-    except TypeError:
-        exps = ()
-    if len(exps) != 3 or not all(type(e) is int and e >= 0 for e in exps):
-        raise InvalidSeries(
-            f"exponent key {key!r} is not three ints >= 0 (E2, E4, E6)"
-        )
-    return exps
+    if not isinstance(key, tuple) or len(key) != 3 or not all(
+        type(e) is int and e >= 0 for e in key
+    ):
+        raise InvalidSeries(f"exponent key {key!r} is not three ints >= 0")
+    return tuple(key)
 
 
 class QMPolynomial(Frozen):
