@@ -13,10 +13,14 @@ truth-testing.  Which ring each one sees:
   q-expansions on the Eisenstein frame, and still sees ``QMPolynomial``
   coefficients for series over generator polynomials (the prime form,
   1/Theta and the determinant's one-variable ingredients).
+- ``conv_ints`` gets the integer q-columns of E2^a E4^b E6^c alone.
 
 The sparse ``{key: coeff}`` dicts of this package never hold a zero; this
 module is the one place that keeps that rule.
 """
+
+from operator import mul
+from types import MappingProxyType
 
 
 def conv_trunc(a, b, n, zero):
@@ -35,6 +39,14 @@ def conv_trunc(a, b, n, zero):
             if bj:
                 out[i + j] = out[i + j] + ai * bj
     return out
+
+
+def conv_ints(a, b, lo, n):
+    """Coefficients lo..n of the Cauchy product of two int sequences that
+    each hold at least n + 1 terms: one dot product per coefficient, run
+    by sum and map in C, so a grown column computes only its tail."""
+    rb = b[n::-1]
+    return [sum(map(mul, a[: k + 1], rb[n - k :])) for k in range(lo, n + 1)]
 
 
 def add_into(out, pairs):
@@ -87,11 +99,14 @@ def exp_mul_dict(da, db, cap=None):
     return out
 
 
-def _thaw(cls, state):
-    """Rebuild a Frozen value from its (slot, value) pairs."""
+def _thaw(cls, state, views=()):
+    """Rebuild a Frozen value from its (slot, value) pairs; the dicts in
+    `views` become read-only mappings again."""
     out = object.__new__(cls)
     for name, value in state:
         object.__setattr__(out, name, value)
+    for name, value in views:
+        object.__setattr__(out, name, MappingProxyType(value))
     return out
 
 
@@ -100,7 +115,8 @@ class Frozen:
     instances refuse attribute assignment and deletion, so a value served
     from a cache cannot be changed by a caller.  Builders set their slots
     through ``object.__setattr__``, and so does ``copy`` or ``pickle``
-    through ``__reduce__``."""
+    through ``__reduce__``, which sends a read-only mapping slot as a
+    plain dict (a ``mappingproxy`` neither pickles nor deep-copies)."""
 
     __slots__ = ()
 
@@ -111,5 +127,12 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} values are immutable")
 
     def __reduce__(self):
-        state = [(n, getattr(self, n)) for n in self.__slots__ if hasattr(self, n)]
-        return _thaw, (type(self), state)
+        state, views = [], []
+        for name in self.__slots__:
+            if hasattr(self, name):
+                value = getattr(self, name)
+                if isinstance(value, MappingProxyType):
+                    views.append((name, dict(value)))
+                else:
+                    state.append((name, value))
+        return _thaw, (type(self), state, views)

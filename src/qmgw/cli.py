@@ -14,6 +14,7 @@ is too small (the message names the minimal one), 1 for failed checks.
 # Each handler imports the mathematics it runs, so a cached read runs none.
 import argparse
 import sys
+from functools import lru_cache
 
 from .cache import cached
 from .config import FORMATS, SUITE_NAMES, RunConfig
@@ -89,7 +90,7 @@ def build_parser():
     ver.add_argument(
         "suite",
         nargs="*",
-        default=["all"],
+        default=("all",),
         help=f"any of: all, {', '.join(SUITE_NAMES)}",
     )
 
@@ -101,6 +102,13 @@ def build_parser():
     tab.add_argument("--bound", type=int, default=14)
     tab.add_argument("--k", type=int, default=2, help="Eisenstein weight")
     return parser
+
+
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser, built once per process on first use, not at import;
+    parsing leaves it unchanged and every default it holds is immutable."""
+    return build_parser()
 
 
 #: command-line dest -> RunConfig field, for the flags a run may leave unset
@@ -329,8 +337,7 @@ def cmd_tables(args, config, out):
 
 def main(argv=None, out=None):
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "gw": cmd_gw,
         "fjrw": cmd_fjrw,

@@ -68,17 +68,19 @@ def _absorb(rows, caps, bases):
     prod_i C(caps_i - k_i, j_i) bases_i^j_i, the ways to pick j_i more of
     the caps_i - k_i free legs of class i, each taking bases_i.  One class
     at a time, so a state costs sum_i (caps_i + 1) multiply-adds, not
-    prod_i (caps_i + 1); zero weights are skipped."""
+    prod_i (caps_i + 1); each spread starts from the rows themselves (j_i
+    = 0, weight 1), and a class whose base is 0 spreads nothing more."""
     for i, (cap, base) in enumerate(zip(caps, bases)):
+        if not base:
+            continue
         powers = [base**j for j in range(cap + 1)]
-        spread = {}
+        spread = dict(rows)
         for k, row in rows.items():
             head, ki, tail = k[:i], k[i], k[i + 1 :]
-            for j in range(cap - ki + 1):
-                if powers[j]:
-                    key = head + (ki + j,) + tail
-                    w = comb(cap - ki, j) * powers[j]
-                    spread[key] = spread.get(key, 0) + row * w
+            for j in range(1, cap - ki + 1):
+                key = head + (ki + j,) + tail
+                w = comb(cap - ki, j) * powers[j]
+                spread[key] = spread.get(key, 0) + row * w
         rows = spread
     return rows
 

@@ -9,17 +9,20 @@ read off the terms (2a + 4b + 6c when every monomial agrees on it).  The
 Ramanujan identities make the ring closed under the primed derivative, and
 `quasimodularize` inverts q-expansion: it fits a q-series to the weight-w
 monomial basis and verifies the fit on every remaining coefficient.  E2,
-E4 and E6 have integer q-coefficients, so the basis expansions are cached
-tuples of ints (`monomial_ints`), the fit is one fraction-free (Bareiss)
-integer solve whose pair (y, det) is the polynomial's layout, and
-`qm_eval` on the Eisenstein frame runs on the same columns.
+E4 and E6 have integer q-coefficients, so the basis expansions are tuples
+of ints (`monomial_ints`), the fit is one fraction-free (Bareiss) integer
+solve whose pair (y, det) is the polynomial's layout, and `qm_eval` on
+the Eisenstein frame runs on the same columns.  Each column is grown in
+place (the online evaluation of van der Hoeven, "Relax, but don't be too
+lazy", J. Symbolic Comput. 34 (2002) 479-542): a higher q-order computes
+only the coefficients it lacks, and each order is a prefix of it.
 """
 
 from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
 
-from ._backend import Frozen, add_into, conv_trunc, exp_mul_dict
+from ._backend import Frozen, add_into, conv_ints, conv_trunc, exp_mul_dict
 from .errors import InsufficientOrder, InvalidSeries, NotQuasiModular
 from .rational import ONE, ZERO, from_ints, rat, scaled_ints
 from .series import _SCALARS, THETA_Q, PowerSeries
@@ -41,13 +44,14 @@ def bernoulli(n):
     return -acc / (n + 1)
 
 
-def _divisor_power_sums(power, order):
-    """sigma_power(n) for n = 1..order as ints, by sieving over divisors."""
-    sums = [0] * (order + 1)
+def _divisor_power_sums(power, order, lo=0):
+    """sigma_power(n) for n = lo..order as ints, at index n - lo (sigma(0)
+    = 0), by sieving the multiples of each divisor from lo on."""
+    sums = [0] * (order + 1 - lo)
     for d in range(1, order + 1):
         dp = d**power
-        for m in range(d, order + 1, d):
-            sums[m] += dp
+        for m in range(max(d, -(-lo // d) * d), order + 1, d):
+            sums[m - lo] += dp
     return sums
 
 
@@ -422,25 +426,58 @@ def weight_basis(w):
 
 @lru_cache(maxsize=None)
 def monomial_ints(key, order):
-    """q-coefficients 0..order of E2^a E4^b E6^c, key = (a, b, c), as ints.
-
-    E2, E4 and E6 have integer coefficients, so every monomial does; each
-    is one convolution of a cached predecessor (the key with its last
-    nonzero exponent lowered) with its generator.
-    """
-    slot = max((i for i, e in enumerate(key) if e), default=None)
-    if slot is None:
+    """q-coefficients 0..order of E2^a E4^b E6^c, key = (a, b, c), as ints:
+    a prefix of the key's grown column (`_column_ints`)."""
+    if not any(key):
         return (1,) + (0,) * order
-    prev = monomial_ints(key[:slot] + (key[slot] - 1,) + key[slot + 1 :], order)
-    return tuple(conv_trunc(prev, _generator_ints(slot, order), order, 0))
+    return _column_ints(key, order)[: order + 1]
 
 
 @lru_cache(maxsize=None)
 def _generator_ints(slot, order):
-    """q-coefficients 0..order of E2, E4 or E6 (slot 0, 1, 2) as ints:
-    1, then -24, 240 or -504 times sigma_{2 slot + 1}(n)."""
-    sums = _divisor_power_sums(2 * slot + 1, order)
-    return (1,) + tuple((-24, 240, -504)[slot] * s for s in sums[1:])
+    """q-coefficients 0..order of E2, E4 or E6 (slot 0, 1, 2) as ints."""
+    return _column_ints(_UNITS[slot], order)[: order + 1]
+
+
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@lru_cache(maxsize=None)
+def _columns():
+    """{key: the longest q-column of E2^a E4^b E6^c built so far}.  Reached
+    through an lru_cache, so clearing every lru_cache of the package
+    empties it."""
+    return {}
+
+
+def _column_ints(key, order):
+    """The grown column of key != (0, 0, 0), holding at least coefficients
+    0..order.
+
+    E2, E4 and E6 have integer coefficients (1, then -24, 240 or -504
+    times sigma_{2 slot + 1}(n)), so every monomial does: it is the key
+    with its last nonzero exponent lowered times that generator.  A
+    column shorter than order + 1 is extended by its missing
+    coefficients alone, from the grown predecessor, and the longer tuple
+    replaces it, so a served tuple never changes; two threads growing
+    one column at once compute the same coefficients.
+    """
+    store = _columns()
+    have = store.get(key, ())
+    lo = len(have)
+    if lo > order:
+        return have
+    slot = max(i for i, e in enumerate(key) if e)
+    prev = key[:slot] + (key[slot] - 1,) + key[slot + 1 :]
+    if any(prev):
+        gen = _column_ints(_UNITS[slot], order)
+        tail = conv_ints(_column_ints(prev, order), gen, lo, order)
+    else:
+        factor = (-24, 240, -504)[slot]
+        sums = _divisor_power_sums(2 * slot + 1, order, lo)
+        tail = [factor * s if n else 1 for n, s in enumerate(sums, lo)]
+    have = store[key] = have + tuple(tail)
+    return have
 
 
 def _solve_fraction_free(matrix, rhs):

@@ -18,12 +18,16 @@ against, and log_theta_deriv reads its exponent.  The Laurent reciprocal
 coefficients are the genus-g one-point invariants.  Every one-point
 value is served from the b_{m,n} table of reciprocal-sigma coefficients,
 the a-table's inverse on the (m, n) lattice, by `onepoint_from_b`; the
-reciprocal of Theta (`onepoint_qm`) is the check route.
+reciprocal of Theta (`onepoint_qm`) is the check route.  Entry (m, n) of
+either table reads only entries of lower or equal degree, so each table
+is grown degree by degree from where it stopped, and a bound is served
+as a read-only copy of the entries up to it.
 """
 
 from functools import lru_cache
 from math import factorial
-from types import MappingProxyType
+from threading import Lock
+from types import MappingProxyType, SimpleNamespace
 
 from .errors import InvalidSeries
 from .modular import E2, E4, E6, QMPolynomial, bernoulli, reduce_e2k
@@ -44,33 +48,62 @@ def weierstrass_a(bound):
 
     Filled in increasing total z-degree 4m + 6n, within which the first
     term refers to the same degree: the recursion is run in decreasing n
-    so a_{m+1,n-1} is already known.  The cached table is returned
-    read-only.
+    so a_{m+1,n-1} is already known.  Served read-only from the grown
+    table (`_grown`).
     """
     if bound < 0:
         raise InvalidSeries("table bound must be >= 0")
-    table = {(0, 0): ONE}
 
-    def get(m, n):
-        if m < 0 or n < 0:
-            return ZERO
-        return table.get((m, n), ZERO)
-
-    for degree in range(2, bound + 1, 2):
-        pairs = [
-            (m, n)
-            for n in range(degree // 6 + 1)
-            for m in range(degree // 4 + 1)
-            if 4 * m + 6 * n == degree
-        ]
-        for m, n in sorted(pairs, key=lambda p: -p[1]):
-            w = 4 * m + 6 * n
+    def fill(state, degree):
+        table = state.table
+        for m, n in _lattice(degree):
             table[(m, n)] = (
-                3 * (m + 1) * get(m + 1, n - 1)
-                + rat(16, 3) * (n + 1) * get(m - 2, n + 1)
-                - rat(1, 6) * (w - 1) * (w - 2) * get(m - 1, n)
+                3 * (m + 1) * table.get((m + 1, n - 1), ZERO)
+                + rat(16, 3) * (n + 1) * table.get((m - 2, n + 1), ZERO)
+                - rat(1, 6) * (degree - 1) * (degree - 2)
+                * table.get((m - 1, n), ZERO)
             )
-    return MappingProxyType(table)
+
+    return _grown_view("a", bound, fill)
+
+
+def _lattice(degree):
+    """The (m, n) with 4m + 6n = degree, in decreasing n."""
+    return [
+        ((degree - 6 * n) // 4, n)
+        for n in range(degree // 6, -1, -1)
+        if (degree - 6 * n) % 4 == 0
+    ]
+
+
+@lru_cache(maxsize=None)
+def _grown(name):
+    """The grown table `name` ("a" or "b"): its entries through degree
+    `top` in increasing 4m + 6n and decreasing n within a degree, the
+    b-recursion's `weighted` a-entries, and the lock it grows under.
+    Reached through an lru_cache, so clearing every lru_cache of the
+    package empties it."""
+    return SimpleNamespace(
+        top=0, table={(0, 0): ONE}, weighted=[], lock=Lock()
+    )
+
+
+def _grown_view(name, bound, fill):
+    """A read-only copy of the entries 4m + 6n <= bound of the grown table
+    `name`, after fill(state, degree) has added those of each degree
+    above the filled one; entries once filled never change."""
+    state = _grown(name)
+    with state.lock:
+        for degree in range(state.top + 1, bound + 1):
+            fill(state, degree)
+        state.top = max(state.top, bound)
+        return MappingProxyType(
+            {
+                (m, n): v
+                for (m, n), v in state.table.items()
+                if 4 * m + 6 * n <= bound
+            }
+        )
 
 
 def _qm_e4_e6_block(m, n):
@@ -111,24 +144,28 @@ def b_table(bound):
 
         b_{m,n} = -sum a_{i,j}/(4i+6j+1)! b_{m-i,n-j}
 
-    over (0, 0) != (i, j) <= (m, n), filled in increasing 4m + 6n.  The
-    cached table is returned read-only.
+    over (0, 0) != (i, j) <= (m, n), filled in increasing 4m + 6n; each
+    degree first adds its own weighted a-entries.  Served read-only from
+    the grown table (`_grown`).
     """
     a = weierstrass_a(bound)
-    weighted = [
-        (i, j, v / factorial(4 * i + 6 * j + 1))
-        for (i, j), v in a.items()
-        if v and (i or j)
-    ]
-    table = {(0, 0): ONE}
-    for m, n in a:  # (0, 0) first, then increasing 4m + 6n
-        if m or n:
+
+    def fill(state, degree):
+        table, weighted = state.table, state.weighted
+        lattice = _lattice(degree)
+        weighted += [
+            (i, j, a[(i, j)] / factorial(degree + 1))
+            for i, j in lattice
+            if a[(i, j)]
+        ]
+        for m, n in lattice:
             table[(m, n)] = -sum(
                 w * table[(m - i, n - j)]
                 for i, j, w in weighted
                 if i <= m and j <= n
             )
-    return MappingProxyType(table)
+
+    return _grown_view("b", bound, fill)
 
 
 @lru_cache(maxsize=None)

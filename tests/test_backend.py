@@ -1,5 +1,6 @@
 """The sparse-dict layer: the zero-dropping accumulator and the
-exponent-dict product, over rationals and generator polynomials."""
+exponent-dict product, over rationals and generator polynomials; and the
+integer convolution tail of the grown q-columns."""
 
 from itertools import product
 
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rationals
-from qmgw._backend import add_into, exp_mul_dict
+from qmgw._backend import add_into, conv_ints, conv_trunc, exp_mul_dict
 from qmgw.modular import E2, E4, QMPolynomial
 from qmgw.rational import ONE, ZERO, rat
 
@@ -86,3 +87,16 @@ class TestExpMulDict:
         db = {(0, 0): E4, (1, 1): E2}
         assert exp_mul_dict(da, db, 1) == {(1, 0): E2 * E4, (0, 1): E4 * E4}
         assert exp_mul_dict(da, db)[(2, 1)] == E2 * E2
+
+
+class TestConvInts:
+    @given(
+        st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=12),
+        st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=12),
+        st.data(),
+    )
+    def test_tail_of_the_truncated_product(self, a, b, data):
+        # both sequences hold n + 1 terms or more, as grown columns do
+        n = data.draw(st.integers(0, min(len(a), len(b)) - 1))
+        lo = data.draw(st.integers(0, n + 1))
+        assert conv_ints(a, b, lo, n) == conv_trunc(a, b, n, 0)[lo:]

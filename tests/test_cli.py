@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from qmgw import cache
+from qmgw import cache, cli
 from qmgw.cli import build_parser, main
+from qmgw.config import RunConfig
 from qmgw.modular import E2, ramanujan_derive
 from qmgw.rational import rat, rat_str
 
@@ -371,6 +372,50 @@ class TestTables:
         )
         assert code == 0
         assert "240" in out
+
+
+class TestParser:
+    def test_built_once_on_first_use(self):
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "from qmgw import cli; n = cli._parser.cache_info().currsize; "
+                "cli._parser(); print(n, cli._parser.cache_info().currsize)",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(TESTS.parent / "src")),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.stdout == "0 1\n", proc.stderr
+        assert cli._parser() is cli._parser()
+
+    def test_consecutive_calls_parse_independently(self, monkeypatch):
+        seen = []
+
+        def record(args, config, out):
+            seen.append((dict(vars(args)), config))
+            if args.command == "verify" and isinstance(args.suite, list):
+                args.suite.append("mirror")  # a handler may edit its args
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_tables", record)
+        monkeypatch.setattr(cli, "cmd_verify", record)
+        run_cli(["tables", "b", "--bound", "6", "--k", "4", "--order", "9",
+                 "--no-cache", "--format", "csv"])
+        run_cli(["tables", "a"])
+        run_cli(["verify"])
+        run_cli(["verify", "chazy", "bp"])
+        run_cli(["verify"])
+        (first, c1), (second, c2) = seen[:2]
+        assert (first["bound"], first["k"], first["table"]) == (6, 4, "b")
+        assert (second["bound"], second["k"], second["table"]) == (14, 2, "a")
+        assert second["order"] is None and second["no_cache"] is False
+        assert (c1.q_order, c1.no_cache, c1.fmt) == (9, True, "csv")
+        assert (c2.q_order, c2.no_cache, c2.fmt) == (
+            RunConfig().q_order, False, RunConfig().fmt
+        )
+        suites = [list(args["suite"]) for args, _ in seen[2:]]
+        assert suites == [["all"], ["chazy", "bp", "mirror"], ["all"]]
 
 
 class TestDeterminismAndCache:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rationals
+from conftest import assert_round_trips, rationals
 from qmgw import modular
 from qmgw.anomaly import d_dC2
 from qmgw.cayley import cayley_frame
@@ -371,6 +371,14 @@ class TestImmutable:
         p = E2 * rat(1, 3) + E6
         assert copy.copy(p) == p and hash(copy.copy(p)) == hash(p)
 
+    def test_pickle_and_deepcopy_round_trip(self):
+        p = E2 * 3
+        assert_round_trips(p, ["nums"])
+        p.terms  # the Fraction view is a read-only slot too, once built
+        assert_round_trips(p, ["nums", "_terms"])
+        clone = pickle.loads(pickle.dumps(p))
+        assert hash(clone) == hash(p) and clone.terms == p.terms
+
 
 def eval_by_repeated_squaring(p, order, gens):
     """qm_eval's formula term by term, each gen ** e built anew."""
@@ -522,12 +530,23 @@ class TestQuasimodularize:
             assert all(type(x) is int for x in (*a, *b, zero))
             return real_conv(a, b, n, zero)
 
+        real_column = modular.conv_ints
+        columns = []
+
+        def int_columns(a, b, lo, n):
+            assert all(type(x) is int for x in (*a, *b))
+            columns.append(n)
+            return real_column(a, b, lo, n)
+
         modular.monomial_ints.cache_clear()
+        modular._columns.cache_clear()
         monkeypatch.setattr(modular, "qm_eval", refuse)
         monkeypatch.setattr(PowerSeries, "__mul__", refuse)
         monkeypatch.setattr(modular, "conv_trunc", ints_only)
+        monkeypatch.setattr(modular, "conv_ints", int_columns)
         assert quasimodularize(series, 12) == p
         assert modular.monomial_ints.cache_info().misses > 0
+        assert columns  # the basis columns were rebuilt, on ints
 
     def test_weight_zero(self):
         f = PowerSeries.constant("q", rat(5), 15)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import assert_round_trips
 from qmgw import hurwitz
 from qmgw.determinant import MultiZPoly, npoint
 from qmgw.errors import InsufficientOrder, InvalidSeries
@@ -339,3 +340,6 @@ class TestMultiZPoly:
             with pytest.raises(AttributeError):
                 delattr(served, name)
         assert npoint(2, 2) == npoint.__wrapped__(2, 2)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        assert_round_trips(npoint(1, 2), ["data"])

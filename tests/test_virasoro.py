@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 import qmgw.virasoro
+from conftest import assert_round_trips
 from qmgw.errors import InvalidSeries
 from qmgw.rational import ONE, ZERO, Rational, rat
 from qmgw.virasoro import (
@@ -327,6 +328,9 @@ class TestDiffOperatorAlgebra:
         with pytest.raises(AttributeError):
             del op.terms
         assert virasoro_op("curve", 1, 10) == virasoro_op.__wrapped__("curve", 1, 10)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        assert_round_trips(virasoro_op("curve", 1, 4), ["terms", "_by_dst"])
 
     def test_action_linearity(self):
         op = virasoro_op("curve", 1, 6)
