@@ -55,12 +55,9 @@ class CayleyFrame(namedtuple("CayleyFrame", "e2 e4 e6")):
     def order(self):
         return self.e2.order
 
-    def gens(self):
-        return (self.e2, self.e4, self.e6)
-
     def validate(self):
         """Chazy for the E2 image and all three Ramanujan identities, d/ds."""
-        e2, e4, e6 = self.e2, self.e4, self.e6
+        e2, e4, e6 = self
         checks = {
             "chazy(CE2)": chazy_residual(e2, D_DS),
             "ramanujan E2": e2.derive(D_DS) - (e2 * e2 - e4) * rat(1, 12),
@@ -104,7 +101,7 @@ def cayley_transform(p, frame):
     Eisenstein one: Horner in CE2 over cached CE4^b CE6^c columns, one
     product per column not cached yet and one per Horner step.
     """
-    return qm_eval(p, frame.order, gens=frame.gens())
+    return qm_eval(p, frame.order, gens=frame)
 
 
 def fjrw_onepoint_all_genus(g, frame):

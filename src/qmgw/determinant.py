@@ -162,28 +162,12 @@ def _det_cleared(entries, n, cap):
         acc = factors[0]
         for d in factors[1:]:
             acc = exp_mul_dict(acc, d, cap)
-        if _perm_sign(perm) < 0:
+        # an odd permutation has an odd number of inversions
+        if sum(a > b for a, b in combinations(perm, 2)) % 2:
             add_into(total, ((key, -v) for key, v in acc.items()))
         else:
             add_into(total, acc.items())
     return total
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 @lru_cache(maxsize=None)

@@ -169,29 +169,18 @@ def i_function_fjrw(order):
         raise InvalidSeries("i_function_fjrw needs order >= 2")
     c0 = [ZERO] * (order + 1)
     c1 = [ZERO] * (order + 1)
-    poch13 = ONE
-    poch_1 = ONE  # (1)_{3l} = (3l)!
-    poch23 = ONE
-    poch_2 = ONE  # (2)_{3l}
-    l = 0
-    while True:
-        e0 = 1 + 3 * l
-        e1 = 2 + 3 * l
-        placed = False
-        if e0 <= order:
-            c0[e0] = poch13 ** 3 / poch_1
-            placed = True
-        if e1 <= order:
-            c1[e1] = poch23 ** 3 / poch_2
-            placed = True
-        if not placed:
-            break
-        poch13 = poch13 * (rat(1, 3) + l)
-        poch23 = poch23 * (rat(2, 3) + l)
+    poch13 = poch23 = ONE
+    poch_1 = poch_2 = 1  # (1)_{3l} = (3l)! and (2)_{3l}
+    # every l with 1 + 3l <= order; 2 + 3l may pass order at the last one
+    for l in range((order - 1) // 3 + 1):
+        c0[1 + 3 * l] = poch13**3 / poch_1
+        if 2 + 3 * l <= order:
+            c1[2 + 3 * l] = poch23**3 / poch_2
+        poch13 *= rat(1, 3) + l
+        poch23 *= rat(2, 3) + l
         for j in range(3 * l, 3 * l + 3):
-            poch_1 = poch_1 * (1 + j)
-            poch_2 = poch_2 * (2 + j)
-        l += 1
+            poch_1 *= 1 + j
+            poch_2 *= 2 + j
     return PowerSeries("t", c0), PowerSeries("t", c1)
 
 

@@ -20,12 +20,13 @@ only the coefficients it lacks, and each order is a prefix of it.
 
 from functools import lru_cache
 from math import gcd, lcm
+from numbers import Number
 from types import MappingProxyType
 
 from ._backend import Frozen, add_into, conv_ints, conv_trunc, exp_mul_dict
 from .errors import InsufficientOrder, InvalidSeries, NotQuasiModular
 from .rational import ONE, ZERO, from_ints, rat, scaled_ints
-from .series import _SCALARS, THETA_Q, PowerSeries
+from .series import THETA_Q, PowerSeries
 
 _set = object.__setattr__
 
@@ -55,11 +56,18 @@ def _divisor_power_sums(power, order, lo=0):
     return sums
 
 
+def _check_order(order):
+    """InvalidSeries for a negative q-order: no expansion stops below q^0."""
+    if order < 0:
+        raise InvalidSeries(f"cannot expand to the negative order {order}")
+
+
 @lru_cache(maxsize=None)
 def eisenstein(k, order):
     """E_k(q) = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, truncated at `order`."""
     if k < 2 or k % 2:
         raise InvalidSeries("Eisenstein weight must be a positive even integer")
+    _check_order(order)
     factor = -rat(2 * k) / bernoulli(k)
     sums = _divisor_power_sums(k - 1, order)
     coeffs = [ONE] + [factor * sums[n] for n in range(1, order + 1)]
@@ -77,6 +85,7 @@ def euler_coefficients(order):
 
 def euler_function(order):
     """prod_{n=1}^{order} (1 - q^n), truncated at `order`."""
+    _check_order(order)
     return PowerSeries("q", euler_coefficients(order))
 
 
@@ -110,8 +119,7 @@ class QMPolynomial(Frozen):
 
     __slots__ = ("nums", "den", "_terms")
 
-    def __init__(self, terms=None, weight=None):
-        """`weight`, when given, is asserted for a nonzero polynomial."""
+    def __init__(self, terms=None):
         clean = {}
         if terms:
             for key, c in terms.items():
@@ -121,8 +129,6 @@ class QMPolynomial(Frozen):
                     clean[key] = c
         nums, den = scaled_ints(list(clean.values()))
         self._fill(dict(zip(clean, nums)), den)
-        if weight is not None and clean and self.weight != weight:
-            raise InvalidSeries(f"{self!r} is not of declared weight {weight}")
 
     def _fill(self, nums, den):
         """Set the slots to nums/den divided by gcd(den, *nums)."""
@@ -149,18 +155,6 @@ class QMPolynomial(Frozen):
     @classmethod
     def constant(cls, value):
         return cls({(0, 0, 0): value})
-
-    @classmethod
-    def e2(cls):
-        return cls({(1, 0, 0): ONE})
-
-    @classmethod
-    def e4(cls):
-        return cls({(0, 1, 0): ONE})
-
-    @classmethod
-    def e6(cls):
-        return cls({(0, 0, 1): ONE})
 
     # -- queries -------------------------------------------------------------
     @property
@@ -220,7 +214,7 @@ class QMPolynomial(Frozen):
     # left to its own reflected method (PowerSeries.__rmul__, ...).
     def __add__(self, other):
         if not isinstance(other, QMPolynomial):
-            if not isinstance(other, _SCALARS):
+            if not isinstance(other, Number):
                 return NotImplemented
             other = QMPolynomial.constant(other)
         if len(self.nums) < len(other.nums):
@@ -243,7 +237,7 @@ class QMPolynomial(Frozen):
 
     def __sub__(self, other):
         if not isinstance(other, QMPolynomial):
-            if not isinstance(other, _SCALARS):
+            if not isinstance(other, Number):
                 return NotImplemented
             other = QMPolynomial.constant(other)
         return self + (-other)
@@ -258,7 +252,7 @@ class QMPolynomial(Frozen):
             )
         if type(other) is int:
             num, den = other, 1
-        elif isinstance(other, _SCALARS):
+        elif isinstance(other, Number):
             c = rat(other)
             num, den = c.numerator, c.denominator
         else:
@@ -291,9 +285,9 @@ class QMPolynomial(Frozen):
         return out
 
 
-E2 = QMPolynomial.e2()
-E4 = QMPolynomial.e4()
-E6 = QMPolynomial.e6()
+E2 = QMPolynomial({(1, 0, 0): 1})
+E4 = QMPolynomial({(0, 1, 0): 1})
+E6 = QMPolynomial({(0, 0, 1): 1})
 
 
 #: per generator slot, 12 times the derivative of that generator
@@ -344,8 +338,7 @@ def qm_eval(p, order, gens=None):
     cached predecessor (`_column`, shared across calls per generator
     pair), and scaling by a coefficient is termwise.
     """
-    if order < 0:
-        raise InvalidSeries(f"cannot expand to the negative order {order}")
+    _check_order(order)
     if gens is None:
         return _eval_eisenstein(p, order)
     x2, x4, x6 = gens
@@ -371,7 +364,7 @@ def _eval_eisenstein(p, order):
     rows = {}
     for (a, b, c), u in p.nums.items():
         rows.setdefault(a, []).append(((0, b, c), u))
-    e2 = _generator_ints(0, order)
+    e2 = monomial_ints((1, 0, 0), order)
     top = max(rows, default=0)
     out = [0] * (order + 1)
     for a in range(top, -1, -1):
@@ -431,12 +424,6 @@ def monomial_ints(key, order):
     if not any(key):
         return (1,) + (0,) * order
     return _column_ints(key, order)[: order + 1]
-
-
-@lru_cache(maxsize=None)
-def _generator_ints(slot, order):
-    """q-coefficients 0..order of E2, E4 or E6 (slot 0, 1, 2) as ints."""
-    return _column_ints(_UNITS[slot], order)[: order + 1]
 
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))

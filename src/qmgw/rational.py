@@ -17,9 +17,6 @@ ONE = Rational(1)
 def rat(num, den=1):
     if den == 1 and type(num) is Rational:
         return num  # exact and normalised already
-    if isinstance(num, str):
-        num = Rational(num)
-        return num if den == 1 else num / Rational(den)
     return Rational(num, den)
 
 

@@ -58,10 +58,6 @@ VARIABLES = ("q", "s", "t", "x", "z")
 
 THETA_Q = "theta_q"  # q * d/dq
 D_DS = "d_ds"  # plain d/ds
-DERIVE_MODES = (THETA_Q, D_DS)
-
-# Coefficients and scalars of these types are coerced through rat.
-_SCALARS = (Number, str)
 
 _set = object.__setattr__
 
@@ -132,7 +128,7 @@ class PowerSeries(Frozen):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise InvalidSeries("a truncated series needs at least one coefficient")
-        if isinstance(coeffs[0], _SCALARS):
+        if isinstance(coeffs[0], Number):
             coeffs = tuple(rat(c) for c in coeffs)
             zero = ZERO
         else:
@@ -164,18 +160,6 @@ class PowerSeries(Frozen):
     @classmethod
     def constant(cls, var, value, order):
         return cls(var, [rat(value)] + [ZERO] * order)
-
-    @classmethod
-    def identity(cls, var, order):
-        """The series 'var' itself."""
-        return cls.monomial(var, 1, ONE, order)
-
-    @classmethod
-    def monomial(cls, var, exponent, coeff, order):
-        c = [ZERO] * (order + 1)
-        if 0 <= exponent <= order:
-            c[exponent] = rat(coeff)
-        return cls(var, c)
 
     # -- basic queries ---------------------------------------------------
     def coefficient(self, n):
@@ -289,7 +273,7 @@ class PowerSeries(Frozen):
         own ring.
         """
         if not isinstance(other, PowerSeries):
-            if isinstance(other, _SCALARS):
+            if isinstance(other, Number):
                 other = rat(other)
             return self._like([c * other for c in self.coeffs], self.start)
         self._check_var(other)
@@ -415,7 +399,7 @@ class PowerSeries(Frozen):
         at 0 loses its constant term and keeps start 0; an order-0 series
         starting at 0 has no known coefficient left and is refused.
         """
-        if mode not in DERIVE_MODES:
+        if mode not in (THETA_Q, D_DS):
             raise InvalidSeries(f"unknown derivative mode {mode!r}")
         out = [n * c for n, c in enumerate(self.coeffs, self.start)]
         if mode == THETA_Q:

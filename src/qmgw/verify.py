@@ -25,6 +25,8 @@ from .determinant import npoint
 from .hurwitz import connected_stationary, stationary_invariant
 from .modular import (
     E2,
+    E4,
+    E6,
     QMPolynomial,
     eisenstein,
     qm_eval,
@@ -110,10 +112,8 @@ def suite_ramanujan(config):
         lhs = theta_q(qm_eval(p, order))
         rhs = qm_eval(ramanujan_derive(p), order)
         report.add(f"theta_q qm_eval = qm_eval ramanujan_derive #{i}", lhs == rhs)
-    report.add("E8 reduces to E4^2", reduce_e2k(8) == QMPolynomial.e4() * QMPolynomial.e4())
-    report.add(
-        "E10 reduces to E4 E6", reduce_e2k(10) == QMPolynomial.e4() * QMPolynomial.e6()
-    )
+    report.add("E8 reduces to E4^2", reduce_e2k(8) == E4 * E4)
+    report.add("E10 reduces to E4 E6", reduce_e2k(10) == E4 * E6)
     rng2 = random.Random(_SEED + 1)
     for i in range(5):
         p = _random_qm(rng2)
@@ -421,8 +421,8 @@ def suite_fjrw(config):
         )
     # side b substitutes the frame into the tower monomial by monomial,
     # from powers built here, so it shares no code with qm_eval
-    powers = [[x ** 0] for x in frame.gens()]
-    for row, x in zip(powers, frame.gens()):
+    powers = [[x ** 0] for x in frame]
+    for row, x in zip(powers, frame):
         for _ in range(7):  # genus <= 7: every exponent is <= 7
             row.append(row[-1] * x)
     for g in range(1, 8):

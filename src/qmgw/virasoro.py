@@ -31,7 +31,7 @@ rational arithmetic runs there.
 
 from bisect import bisect_left
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from types import MappingProxyType
 
 from ._backend import Frozen, add_into
@@ -49,10 +49,7 @@ SECTOR_OFFSET = {0: 0, 1: 1, 2: 0, 3: 1}
 
 def pochhammer(a, n):
     """Rising factorial a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    out = 1
-    for i in range(n):
-        out *= a + i
-    return out
+    return prod(a + i for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +263,7 @@ def _degree0(mono):
     return sum(x for (s, _), x in mono if s == 0)
 
 
-class QuantizedS:
+class QuantizedS(Frozen):
     """Action of the ancestor/descendent quantization operator
 
         S^_t = exp( -t (q[0,0])^2 / 2  -  t sum_k q[0,k+1] d/d q[0,k] ),
@@ -291,11 +288,15 @@ class QuantizedS:
 
     MAX_DEGREE = 6
 
+    __slots__ = ("t", "level_cap", "_vector_field")
+
     def __init__(self, t, level_cap):
-        self.t = rat(t)
-        self.level_cap = level_cap
-        self._vector_field = DiffOperator(
-            (((0, k + 1), (0, k)), 1) for k in range(level_cap)
+        object.__setattr__(self, "t", rat(t))
+        object.__setattr__(self, "level_cap", level_cap)
+        object.__setattr__(
+            self,
+            "_vector_field",
+            DiffOperator((((0, k + 1), (0, k)), 1) for k in range(level_cap)),
         )
 
     def apply(self, poly):

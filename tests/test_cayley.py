@@ -14,7 +14,7 @@ from qmgw.cayley import (
 from qmgw.chazy import D_DS
 from qmgw.errors import InsufficientOrder, InvalidSeries, UnsupportedInsertion
 from qmgw.modular import E2, QMPolynomial, ramanujan_derive
-from qmgw.rational import ZERO, rat
+from qmgw.rational import ZERO, parse_rat, rat
 from qmgw.series import PowerSeries
 from qmgw.theta import onepoint_qm
 
@@ -58,7 +58,7 @@ class TestFrame:
             (frame.e6, GOLDEN_E6),
         ):
             for n, value in enumerate(golden):
-                assert series.coefficient(n) == rat(value)
+                assert series.coefficient(n) == parse_rat(value)
 
     def test_frame_validates(self, frame):
         assert frame.validate()
@@ -154,6 +154,29 @@ class TestOnePointTower:
             direct = fjrw_onepoint_all_genus(g, frame)
             transported = cayley_transform(onepoint_qm(g), frame)
             assert direct == transported
+
+    def test_transport_pinned_against_frame_powers(self):
+        # every one-point value the tower serves, at the CLI's s-orders,
+        # against a sum of products of frame powers built once per order,
+        # monomial by monomial: no code shared with qm_eval
+        def layout(f):
+            return f.var, f.start, f.order, f.coeffs
+
+        for order in (16, 32, 80):
+            frame = cayley_frame(order)
+            powers = [[x**0] for x in frame]
+            for row, x in zip(powers, frame):
+                for _ in range(13):  # genus <= 13: every exponent is <= 13
+                    row.append(row[-1] * x)
+            for g in range(1, 14):
+                qm = onepoint_qm(g)
+                want = PowerSeries.zero("s", order)
+                for (i, j, k), v in qm.terms.items():
+                    want = want + powers[0][i] * powers[1][j] * powers[2][k] * v
+                want = layout(want)
+                assert layout(cayley_transform(qm, frame)) == want, (g, order)
+                got = fjrw_onepoint_all_genus(g, frame)
+                assert layout(got) == want, (g, order)
 
     def test_genus_zero_rejected(self, frame):
         with pytest.raises(InvalidSeries):

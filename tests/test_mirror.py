@@ -203,7 +203,7 @@ class TestMirrorMap:
             f = PowerSeries("q", [ZERO, ONE] + tail)
             got = revert_series(f)
             assert (got.coeffs, got.start, got.order) == reference_revert(f)
-            assert f.compose(got) == PowerSeries.identity("q", order)
+            assert f.compose(got) == PowerSeries("q", [0, 1] + [0] * (order - 1))
 
     def test_reversion_refuses_other_rings(self):
         from qmgw.modular import E2, QMPolynomial
@@ -242,7 +242,7 @@ class TestMirrorMap:
 
         order = 10
         i0, i1 = i_function_gw(order)
-        bad = i1 + PowerSeries.monomial("x", 3, ONE, order)
+        bad = i1 + PowerSeries("x", [0, 0, 0, 1] + [0] * (order - 3))
         qx = (bad.divide(i0)).exp().shift(1).retag("q")
         xq = revert_series(qx)
         assert 27 * xq != alpha(order).truncate(xq.order)

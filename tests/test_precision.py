@@ -140,7 +140,7 @@ class TestBuilderPrecision:
     @given(ORDERS, EXTRA)
     def test_cayley_frame(self, n, k):
         for i in range(3):
-            assert_stable(lambda order: cayley_frame(order).gens()[i], n, k)
+            assert_stable(lambda order: cayley_frame(order)[i], n, k)
 
     @given(ORDERS, EXTRA)
     def test_alpha(self, n, k):

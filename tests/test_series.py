@@ -9,7 +9,7 @@ from qmgw import modular
 from qmgw import series as series_module
 from qmgw.errors import InsufficientOrder, InvalidSeries, VariableMismatch
 from qmgw.modular import E2, E4, QMPolynomial, qm_eval
-from qmgw.rational import ONE, ZERO, Rational, rat
+from qmgw.rational import ONE, ZERO, Rational, parse_rat, rat
 from qmgw.series import D_DS, THETA_Q, PowerSeries
 from qmgw._backend import conv_trunc
 
@@ -30,11 +30,16 @@ class TestRat:
 
     @pytest.mark.parametrize(
         "value, want",
-        [(3, 3), (-7, -7), ("-10/12", Rational(-5, 6)), (True, 1), (False, 0)],
+        [(3, 3), (-7, -7), (True, 1), (False, 0)],
     )
     def test_other_arguments_keep_value_and_type(self, value, want):
         got = rat(value)
         assert got == want and type(got) is Rational
+
+    def test_strings_are_read_by_parse_rat_alone(self):
+        assert parse_rat("-10/12") == Rational(-5, 6)
+        with pytest.raises(TypeError):
+            rat("-10/12")
 
 
 class TestMul:
@@ -44,15 +49,13 @@ class TestMul:
         assert one_plus * one_minus == series("q", 1, 0, -1, 0)
 
     def test_multiplicative_identity(self):
-        f = series("q", 3, "-1/2", 7, "2/5")
+        f = series("q", 3, rat(-1, 2), 7, rat(2, 5))
         assert f * PowerSeries.one("q", 3) == f
 
     def test_geometric_series_inverts_one_minus_q(self):
         order = 12
         geometric = PowerSeries("q", [ONE] * (order + 1))
-        one_minus = PowerSeries.one("q", order) - PowerSeries.identity(
-            "q", order
-        )
+        one_minus = series("q", 1, -1, *[0] * (order - 1))
         assert geometric * one_minus == PowerSeries.one("q", order)
 
     def test_variable_mismatch_rejected(self):
@@ -357,7 +360,7 @@ class TestRationalPath:
 
         zero = QMPolynomial.zero()
         over_qm = PowerSeries("z", [QMPolynomial.constant(1), E2, zero])
-        inner = series("z", 0, 1, "1/2")
+        inner = series("z", 0, 1, rat(1, 2))
         with pytest.raises(InvalidSeries, match="over Q"):
             over_qm.compose(inner)
         with pytest.raises(InvalidSeries, match="over Q"):

@@ -234,6 +234,14 @@ class TestQuantization:
         probe = poly_add(poly_var(0, 2), {(): rat(3)})
         assert op.apply(probe) == {0: probe}
 
+    def test_operator_is_immutable(self):
+        op = quantization_S(rat(1, 2), 6)
+        with pytest.raises(AttributeError):
+            op.t = rat(1, 3)
+        with pytest.raises(AttributeError):
+            del op.level_cap
+        assert op.t == rat(1, 2) and op.level_cap == 6
+
     def test_vector_field_first_step(self):
         op = quantization_S(rat(1, 2), 5)
         out = op.apply(poly_var(0, 0))
