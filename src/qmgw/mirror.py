@@ -91,6 +91,9 @@ def appendix_identity_checks(order=12):
     al = alpha(order)
     e2 = eisenstein(2, order)
     e2_q3 = e2.subst_power(3)
+    a2 = a * a
+    inv_a = a.reciprocal()
+    theta_log_a = a.derive(THETA_Q) * inv_a
 
     def record(name, lhs, rhs):
         diff = lhs - rhs
@@ -105,29 +108,29 @@ def appendix_identity_checks(order=12):
                 f"{lhs.coefficient(bad)} != {rhs.coefficient(bad)}",
             )
 
-    record("(i) A^2 = (3 E2(q^3) - E2(q))/2", a * a, (3 * e2_q3 - e2) * rat(1, 2))
+    record("(i) A^2 = (3 E2(q^3) - E2(q))/2", a2, (3 * e2_q3 - e2) * rat(1, 2))
     record(
         "(ii) theta_q alpha = alpha (1 - alpha) A^2",
         al.derive(THETA_Q),
-        al * (1 - al) * (a * a),
+        al * (1 - al) * a2,
     )
     record(
         "(iii) E2 = 12 theta_q log A - (4 alpha - 1) A^2",
         e2,
-        12 * _theta_log(a) - (4 * al - 1) * (a * a),
+        12 * theta_log_a - (4 * al - 1) * a2,
     )
     e_series = (3 * e2_q3 + e2) * rat(1, 4)
     record(
         "(iv) E = 6 theta_q log A - (2C^3 - A^3)/A",
         e_series,
-        6 * _theta_log(a) - (2 * c3 - a ** 3) * a.reciprocal(),
+        6 * theta_log_a - (2 * c3 - a ** 3) * inv_a,
     )
     # theta_q log alpha = theta_q alpha / alpha handles the q-valuation
     dlog_alpha = al.derive(THETA_Q).divide(al)
     record(
         "(v) -E2(q^3)/8 = theta_q(-log A/2 - log(alpha^3 (1-alpha))/24)",
         e2_q3 * rat(-1, 8),
-        _theta_log(a) * rat(-1, 2)
+        theta_log_a * rat(-1, 2)
         - (3 * dlog_alpha + _theta_log(1 - al)) * rat(1, 24),
     )
     record(
@@ -151,10 +154,12 @@ def i_function_gw(order):
     i0 = [ONE]
     i1 = [ZERO]
     fac = ONE
+    harm = ZERO  # sum_{k=d+1}^{3d} 1/k, updated from d - 1 to d
     for d in range(1, order + 1):
         fac = fac * (3 * d) * (3 * d - 1) * (3 * d - 2) / (d ** 3)
         i0.append(fac)
-        harm = sum((rat(1, k) for k in range(d + 1, 3 * d + 1)), ZERO)
+        harm += rat(1, 3 * d - 2) + rat(1, 3 * d - 1) + rat(1, 3 * d)
+        harm -= rat(1, d)
         i1.append(fac * 3 * harm)
     return PowerSeries("x", i0), PowerSeries("x", i1)
 

@@ -67,6 +67,16 @@ def _check_tag(var):
         raise InvalidSeries(f"unknown variable tag {var!r}")
 
 
+def _ring_of(c):
+    """The type of a coefficient that is not a number: a ring with
+    ``zero()``, such as the generator polynomials."""
+    if not callable(getattr(type(c), "zero", None)):
+        raise InvalidSeries(
+            f"{c!r} is neither a number nor an element of a ring with zero()"
+        )
+    return type(c)
+
+
 def _scaled(f, coeffs):
     """(nums, den) for `coeffs`, some of f's, if f is over Q; else None."""
     return scaled_ints(coeffs) if f._zero is ZERO else None
@@ -132,7 +142,7 @@ class PowerSeries(Frozen):
             coeffs = tuple(rat(c) for c in coeffs)
             zero = ZERO
         else:
-            zero = type(coeffs[0]).zero()
+            zero = _ring_of(coeffs[0]).zero()
         self._fill(var, coeffs, start, zero)
 
     def _fill(self, var, coeffs, start, zero):
@@ -275,6 +285,8 @@ class PowerSeries(Frozen):
         if not isinstance(other, PowerSeries):
             if isinstance(other, Number):
                 other = rat(other)
+            else:
+                _ring_of(other)
             return self._like([c * other for c in self.coeffs], self.start)
         self._check_var(other)
         start = self.start + other.start

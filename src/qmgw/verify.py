@@ -9,8 +9,13 @@ identity with the first failing coefficient on failure.
 import random
 
 from ._backend import add_into, exp_mul_dict
-from .anomaly import d_dC2, hae_onepoint_check, prime_form_anomaly_check
-from .cayley import cayley_frame, cayley_transform, fjrw_onepoint_all_genus
+from .anomaly import (
+    _onepoint_transport,
+    d_dC2,
+    hae_onepoint_check,
+    prime_form_anomaly_check,
+)
+from .cayley import cayley_frame, cayley_transform
 from .chazy import (
     D_DS,
     THETA_Q,
@@ -46,7 +51,6 @@ from .records import CheckReport
 from .series import PowerSeries
 from .theta import (
     one_over_theta,
-    onepoint_qm,
     onepoint_from_b,
     prime_form,
     prime_form_exponential,
@@ -203,8 +207,9 @@ def suite_prime_form(config):
         "recursion route to sigma matches",
         sigma_tilde(dz) == exponential * PowerSeries("z", e2_exponent).exp(),
     )
-    # the pinned coefficients reach z^3, and one_over_theta(n) has order n - 2
-    oot = one_over_theta(max(dz, 5))
+    # one 1/Theta serves the rows below: one_over_theta(n) has order n - 2,
+    # the pinned coefficients reach z^3 and the genus rows z^dz
+    oot = one_over_theta(dz + 2)
     expect = {
         -1: QMPolynomial.constant(ONE),
         1: E2 * rat(-1, 24),
@@ -220,9 +225,9 @@ def suite_prime_form(config):
     for g in range(1, gmax + 1):
         report.add(
             f"b-table route equals tower at genus {g}",
-            onepoint_qm(g, z_order=dz + 2) == onepoint_from_b(g),
+            oot.coefficient(2 * g - 1) == onepoint_from_b(g),
         )
-    inv = qm_eval(onepoint_qm(1), config.q_order)
+    inv = qm_eval(oot.coefficient(1), config.q_order)
     report.add("genus-one q^0 coefficient is -1/24", inv.coefficient(0) == rat(-1, 24))
     report.add("genus-one q^1 coefficient is 1", inv.coefficient(1) == ONE)
     report.add(
@@ -333,8 +338,7 @@ def suite_hae(config):
         sub.passed,
         "" if sub.passed else next(d for _, ok, d in sub.rows if not ok),
     )
-    frame = cayley_frame(max(config.s_order, 12))
-    ladder = hae_onepoint_check(7, frame=frame)
+    ladder = hae_onepoint_check(7, s_order=max(config.s_order, 12))
     report.add(
         "one-point ladder to genus 7, both frames",
         ladder.passed,
@@ -420,16 +424,23 @@ def suite_fjrw(config):
             name, all(series.coefficient(n) == v for n, v in coeffs.items())
         )
     # side b substitutes the frame into the tower monomial by monomial,
-    # from powers built here, so it shares no code with qm_eval
+    # from powers built here, so it shares no code with qm_eval; each
+    # column CE4^j CE6^k is built once for all genera, and side a is the
+    # transport `verify hae` built, if it ran
     powers = [[x ** 0] for x in frame]
     for row, x in zip(powers, frame):
         for _ in range(7):  # genus <= 7: every exponent is <= 7
             row.append(row[-1] * x)
+    columns = {}
+    oot = one_over_theta(15)  # the 1/Theta of the hae ladder to genus 7
     for g in range(1, 8):
-        a = fjrw_onepoint_all_genus(g, frame)
+        a = _onepoint_transport(g, frame.order)
         b = PowerSeries.zero("s", frame.order)
-        for (i, j, k), v in onepoint_qm(g).terms.items():
-            b = b + powers[0][i] * powers[1][j] * powers[2][k] * v
+        for (i, j, k), v in oot.coefficient(2 * g - 1).terms.items():
+            column = columns.get((j, k))
+            if column is None:
+                column = columns[(j, k)] = powers[1][j] * powers[2][k]
+            b = b + powers[0][i] * column * v
         report.add(f"one-point transport at genus {g}", a == b)
     one = connected_stationary((0,))
     two = connected_stationary((0, 0))

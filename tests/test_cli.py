@@ -16,6 +16,7 @@ from qmgw.modular import E2, ramanujan_derive
 from qmgw.rational import rat, rat_str
 
 TESTS = Path(__file__).resolve().parent
+BENCHMARK_ORDERS = ["--order", "64", "--s-order", "40", "--z-order", "24"]
 
 def run_cli(argv):
     out = io.StringIO()
@@ -319,6 +320,41 @@ class TestVerifyCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (TESTS / "verify_all.txt").read_text()
+
+    def test_transcript_is_pinned_at_the_benchmark_orders(self):
+        # the orders of perfbench's verify-all workload
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmgw.cli", "verify", "all", "--no-cache"]
+            + BENCHMARK_ORDERS,
+            env=dict(os.environ, PYTHONPATH=str(TESTS.parent / "src")),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (TESTS / "verify_all_64_40_24.txt").read_text()
+
+    def test_one_run_builds_each_intermediate_once(self, monkeypatch):
+        # from empty caches: each Virasoro operator keeps its images of the
+        # probes, and the prime-form rows and the hae ladder each read one
+        # 1/Theta (besides those of `npoint`, the two-point assembly and
+        # the prime-form anomaly rows)
+        from conftest import clear_package_caches
+        from qmgw.theta import one_over_theta
+        from qmgw.virasoro import DiffOperator
+
+        clear_package_caches()
+        calls = []
+        apply = DiffOperator.apply
+
+        def counted(self, poly):
+            calls.append(None)
+            return apply(self, poly)
+
+        monkeypatch.setattr(DiffOperator, "apply", counted)
+        code, out = run_cli(["verify", "all", "--no-cache"] + BENCHMARK_ORDERS)
+        assert code == 0, out
+        assert len(calls) <= 4300
+        assert one_over_theta.cache_info().currsize <= 6
 
 
 class TestTables:

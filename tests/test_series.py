@@ -664,3 +664,23 @@ class TestGeneratorCoefficients:
         assert unit.coeffs == (self.one,) + (self.zero,) * f.order
         assert all(type(c) is QMPolynomial for c in (unit * f).coeffs)
         assert unit * f == f
+
+    def test_scalar_from_the_ring_scales_each_coefficient(self):
+        f = PowerSeries("q", [1, 2])
+        assert (f * self.e2).coeffs == (self.e2, self.e2 * 2)
+        assert self.e2 * f == f * self.e2
+
+
+class TestRefusedCoefficients:
+    """A value that is neither a number nor an element of a ring with
+    zero() is refused as a coefficient or a scalar, naming the value."""
+
+    def test_coefficient(self):
+        with pytest.raises(InvalidSeries, match="'1/2'"):
+            PowerSeries("q", ["1/2"])
+
+    def test_scalar(self):
+        f = PowerSeries("q", [1, 2])
+        for product in (lambda: f * "1/2", lambda: "1/2" * f):
+            with pytest.raises(InvalidSeries, match="'1/2'"):
+                product()

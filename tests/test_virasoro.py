@@ -139,14 +139,18 @@ class TestBracket:
         with pytest.raises(InvalidSeries):
             virasoro_commutator_check(1, -2, 10, "curve")
 
-    def test_detects_a_wrong_operator(self, monkeypatch):
-        # doubling the affine term of L_1 makes the affine coefficient of
-        # d/dt01 in [L_1, L_-1] equal -4, while 2 L_0 has -2
+    @staticmethod
+    def assert_both_halves_fail(monkeypatch, wrong):
+        # doubling the affine term of L_wrong breaks [L_1, L_-1] = 2 L_0;
+        # both the term comparison and the probes must see it.  The true
+        # operators' probe images are built first, so the probes fail only
+        # if the doubled operator reads images of its own.
+        assert virasoro_commutator_check(1, -1, 10, "curve").passed
         build = qmgw.virasoro.virasoro_op
 
         def doubled(theory, k, level_cap):
             op = build(theory, k, level_cap)
-            if k != 1:
+            if k != wrong:
                 return op
             return DiffOperator(
                 ((src, dst), 2 * c if src == () else c)
@@ -154,7 +158,19 @@ class TestBracket:
             )
 
         monkeypatch.setattr(qmgw.virasoro, "virasoro_op", doubled)
-        assert virasoro_commutator_check(1, -1, 10, "curve").passed is False
+        [(_, ok, detail)] = virasoro_commutator_check(1, -1, 10, "curve").rows
+        assert ok is False
+        terms, monos = (int(part.split()[0]) for part in detail.split(", "))
+        assert terms > 0 and monos > 0, detail
+
+    def test_detects_a_wrong_operator(self, monkeypatch):
+        # with L_1 doubled the affine coefficient of d/dt01 in [L_1, L_-1]
+        # is -4, while 2 L_0 has -2
+        self.assert_both_halves_fail(monkeypatch, 1)
+
+    def test_detects_a_wrong_bracket_target(self, monkeypatch):
+        # L_0 enters the probes only through its images
+        self.assert_both_halves_fail(monkeypatch, 0)
 
 
 def _mono(exponents):
