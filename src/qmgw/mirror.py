@@ -81,6 +81,12 @@ def appendix_identity_checks(order=12):
     (v)   -E2(q^3)/8 = theta_q( -log(A)/2 ) - (3 theta_q alpha / alpha
                         + theta_q(1-alpha)/(1-alpha)) / 24
     """
+    return _appendix_checks(order)[0]
+
+
+def _appendix_checks(order):
+    """(appendix_identity_checks(order), the alpha it built): A, C^3 and
+    A^3 are built once, and alpha from them."""
     if order < 12:
         raise InsufficientOrder(
             "identity battery needs order >= 12", required=12
@@ -88,7 +94,8 @@ def appendix_identity_checks(order=12):
     report = CheckReport(f"theta-quotient identities, q-order {order}")
     a = borwein_a(order)
     c3 = borwein_c_cubed(order)
-    al = alpha(order)
+    a3 = a ** 3
+    al = c3 * a3.reciprocal()
     e2 = eisenstein(2, order)
     e2_q3 = e2.subst_power(3)
     a2 = a * a
@@ -123,7 +130,7 @@ def appendix_identity_checks(order=12):
     record(
         "(iv) E = 6 theta_q log A - (2C^3 - A^3)/A",
         e_series,
-        6 * theta_log_a - (2 * c3 - a ** 3) * inv_a,
+        6 * theta_log_a - (2 * c3 - a3) * inv_a,
     )
     # theta_q log alpha = theta_q alpha / alpha handles the q-valuation
     dlog_alpha = al.derive(THETA_Q).divide(al)
@@ -138,7 +145,7 @@ def appendix_identity_checks(order=12):
         a,
         hyp2f1((rat(1, 3), rat(2, 3), ONE), order).compose(al),
     )
-    return report
+    return report, al
 
 
 def i_function_gw(order):
@@ -253,11 +260,15 @@ def mirror_map_check(order=10):
     """
     if order < 10:
         raise InsufficientOrder("mirror_map_check needs order >= 10", required=10)
+    return _mirror_map_report(order, alpha(order))
+
+
+def _mirror_map_report(order, al):
+    """mirror_map_check(order) against `al`, alpha to order >= `order`."""
     report = CheckReport(f"mirror map vs hauptmodul, order {order}")
     qx = mirror_map_series(order)
     xq = revert_series(qx.retag("q"))
     candidate = 27 * xq
-    al = alpha(order)
     if candidate == al.truncate(candidate.order):
         report.add(
             "27 x(q) = alpha(q)", True, "relation holds on the nose"

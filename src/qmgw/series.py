@@ -40,6 +40,9 @@ ring, such as the generator polynomials, it runs on the coefficients:
                 over Q  c_i = i A_i D^(i-1),  e_k = O_k / (k! D^k),
                 else    c_i = i a_i,          e_k = O_k / k!.
 
+The reciprocal loop also continues from the R_k already known, which is
+how `theta` grows 1/Theta in place.
+
 compose takes series over Q only.  With inner = I/E it runs Horner from
 the top on ints, S_n = A_n, S_k = A_k E^(n-k) + S_{k+1} (I/var), and
 self(inner) = S_0 / (D E^n).
@@ -77,6 +80,15 @@ def _ring_of(c):
     return type(c)
 
 
+def _scalar(c):
+    """A scalar operand as a coefficient: a number as a rational, else an
+    element of a ring with ``zero()`` as it is (refused by _ring_of)."""
+    if isinstance(c, Number):
+        return rat(c)
+    _ring_of(c)
+    return c
+
+
 def _scaled(f, coeffs):
     """(nums, den) for `coeffs`, some of f's, if f is over Q; else None."""
     return scaled_ints(coeffs) if f._zero is ZERO else None
@@ -100,16 +112,18 @@ def _powers(x, n):
     return out
 
 
-def _reciprocal_loop(b, zero):
-    """R_0 = 1, R_k = -sum_{i=1}^{k} b_i R_{k-i} for k < len(b)."""
-    out = [zero + 1]
-    for k in range(1, len(b)):
+def _reciprocal_loop(b, zero, out=None):
+    """R_0 = 1, R_k = -sum_{i=1}^{k} b_i R_{k-i}: appends R_k for
+    len(out) <= k < len(b) to `out`, the R_k known so far (none by
+    default), and returns it."""
+    out = [] if out is None else out
+    for k in range(len(out), len(b)):
         acc = zero
         for i in range(1, k + 1):
             bi = b[i]
             if bi:
                 acc += bi * out[k - i]
-        out.append(-acc)
+        out.append(-acc if k else zero + 1)
     return out
 
 
@@ -169,7 +183,11 @@ class PowerSeries(Frozen):
 
     @classmethod
     def constant(cls, var, value, order):
-        return cls(var, [rat(value)] + [ZERO] * order)
+        """value + O(var^(order+1)): a number, or an element of a ring with
+        ``zero()`` over that ring."""
+        if isinstance(value, Number):
+            return cls(var, [rat(value)] + [ZERO] * order)
+        return cls(var, [value] + [_ring_of(value).zero()] * order)
 
     # -- basic queries ---------------------------------------------------
     def coefficient(self, n):
@@ -283,10 +301,7 @@ class PowerSeries(Frozen):
         own ring.
         """
         if not isinstance(other, PowerSeries):
-            if isinstance(other, Number):
-                other = rat(other)
-            else:
-                _ring_of(other)
+            other = _scalar(other)
             return self._like([c * other for c in self.coeffs], self.start)
         self._check_var(other)
         start = self.start + other.start
@@ -305,7 +320,7 @@ class PowerSeries(Frozen):
     def __truediv__(self, scalar):
         if isinstance(scalar, PowerSeries):
             return self.divide(scalar)
-        return self * (ONE / rat(scalar))
+        return self * (ONE / _scalar(scalar))
 
     def __pow__(self, k):
         if k < 0:
@@ -452,7 +467,7 @@ class PowerSeries(Frozen):
         min(D) - valuation.
         """
         if not isinstance(other, PowerSeries):
-            return self * (ONE / rat(other))
+            return self / other
         self._check_var(other)
         self._require_power_series("divide")
         other._require_power_series("divide")

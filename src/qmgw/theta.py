@@ -21,7 +21,12 @@ the a-table's inverse on the (m, n) lattice, by `onepoint_from_b`; the
 reciprocal of Theta (`onepoint_qm`) is the check route.  Entry (m, n) of
 either table reads only entries of lower or equal degree, so each table
 is grown degree by degree from where it stopped, and a bound is served
-as a read-only copy of the entries up to it.
+as a read-only copy of the entries up to it.  The same holds for the
+z-coefficients: sigma~/z, Theta/z = sum_j (E2/24)^j / j! z^{2j} sigma~/z
+and z/Theta = 1/(Theta/z) each read only coefficients of lower or equal
+index, so the three grow together, coefficient by coefficient from where
+they stopped, and each z-order of `sigma_tilde`, `prime_form` and
+`one_over_theta` is a tuple prefix of them.
 """
 
 from functools import lru_cache
@@ -32,7 +37,7 @@ from types import MappingProxyType, SimpleNamespace
 from .errors import InvalidSeries
 from .modular import E2, E4, E6, QMPolynomial, bernoulli, reduce_e2k
 from .rational import ONE, ZERO, rat
-from .series import D_DS, PowerSeries
+from .series import D_DS, PowerSeries, _reciprocal_loop
 
 QM_ZERO = QMPolynomial.zero()
 QM_ONE = QMPolynomial.constant(ONE)
@@ -119,19 +124,10 @@ def sigma_tilde(z_order):
         sigma~(z) = sum a_{m,n}/(4m+6n+1)! (E4/24)^m (-E6/108)^n z^{4m+6n+1}.
 
     Equals 2*pi*i times the classical sigma in the rescaled variable, so
-    every coefficient is a rational polynomial in E4, E6 alone.
+    every coefficient is a rational polynomial in E4, E6 alone.  Served
+    from the grown tower (`_tower`).
     """
-    if z_order < 1:
-        raise InvalidSeries("sigma_tilde needs z-order >= 1")
-    table = weierstrass_a(z_order - 1)
-    coeffs = [QM_ZERO] * z_order
-    for (m, n), a in table.items():
-        e = 4 * m + 6 * n
-        if a:
-            coeffs[e] = coeffs[e] + _qm_e4_e6_block(m, n) * (
-                a / factorial(e + 1)
-            )
-    return PowerSeries("z", coeffs, 1)
+    return _tower_series("sigma", z_order, 1)
 
 
 @lru_cache(maxsize=None)
@@ -169,14 +165,68 @@ def b_table(bound):
 
 
 @lru_cache(maxsize=None)
-def prime_form(z_order):
-    """Theta(z) = exp(E2 z^2/24) * sigma~(z)."""
+def _tower():
+    """The grown prime-form tower: the z-coefficients of sigma~/z, Theta/z
+    and z/Theta known so far, each list a prefix of the series, and the
+    lock they grow under.  Reached through an lru_cache, so clearing every
+    lru_cache of the package empties it."""
+    return SimpleNamespace(sigma=[], theta=[], recip=[], lock=Lock())
+
+
+def _tower_series(name, z_order, start):
+    """z^start times the first z_order coefficients of the grown series
+    `name` ("sigma", "theta" or "recip"), over a tuple prefix of the
+    tower, after each series it reads has computed the coefficients it
+    lacks; coefficients once computed never change.
+
+        sigma~/z at z^e  sum_{4m+6n=e} a_{m,n}/(e+1)! (E4/24)^m (-E6/108)^n
+        Theta/z at z^k   sum_j (E2/24)^j / j! [sigma~/z at z^{k-2j}]
+        z/Theta          R_0 = 1, R_k = -sum_{i=1}^{k} [Theta/z at z^i] R_{k-i}
+
+    Theta/z has constant term 1, so z/Theta is the reciprocal recurrence
+    on its coefficients as they are.
+    """
     if z_order < 1:
-        raise InvalidSeries("prime_form needs z-order >= 1")
-    e2_exponent = [QM_ZERO] * z_order
-    if z_order > 2:
-        e2_exponent[2] = E2 * rat(1, 24)
-    return PowerSeries("z", e2_exponent).exp() * sigma_tilde(z_order)
+        who = "sigma_tilde" if name == "sigma" else "prime_form"
+        raise InvalidSeries(f"{who} needs z-order >= 1")
+    state = _tower()
+    with state.lock:
+        sigma, theta = state.sigma, state.theta
+        if len(sigma) < z_order:
+            a = weierstrass_a(z_order - 1)
+            sigma += [
+                sum(
+                    (
+                        _qm_e4_e6_block(m, n) * (a[(m, n)] / factorial(e + 1))
+                        for m, n in _lattice(e)
+                        if a[(m, n)]
+                    ),
+                    QM_ZERO,
+                )
+                for e in range(len(sigma), z_order)
+            ]
+        if name != "sigma" and len(theta) < z_order:
+            e2 = [  # (E2/24)^j / j!
+                QMPolynomial({(j, 0, 0): rat(1, 24**j * factorial(j))})
+                for j in range((z_order + 1) // 2)
+            ]
+            theta += [
+                sum(
+                    (e2[j] * sigma[k - 2 * j] for j in range(k // 2 + 1)),
+                    QM_ZERO,
+                )
+                for k in range(len(theta), z_order)
+            ]
+        if name == "recip":
+            _reciprocal_loop(theta[:z_order], QM_ZERO, state.recip)
+        coeffs = tuple(getattr(state, name)[:z_order])
+    return PowerSeries("z", coeffs, start)
+
+
+@lru_cache(maxsize=None)
+def prime_form(z_order):
+    """Theta(z) = exp(E2 z^2/24) * sigma~(z), from the grown tower."""
+    return _tower_series("theta", z_order, 1)
 
 
 def prime_form_exponential(z_order):
@@ -191,8 +241,9 @@ def prime_form_exponential(z_order):
 
 @lru_cache(maxsize=None)
 def one_over_theta(z_order):
-    """Laurent reciprocal of the prime form: the one-point tower |z^{2g-1}|."""
-    return prime_form(z_order).reciprocal()
+    """Laurent reciprocal of the prime form: the one-point tower |z^{2g-1}|,
+    known to order z_order - 2, from the grown tower."""
+    return _tower_series("recip", z_order, -1)
 
 
 @lru_cache(maxsize=None)

@@ -42,9 +42,9 @@ from .modular import (
     weight_basis,
 )
 from .mirror import (
-    appendix_identity_checks,
+    _appendix_checks,
+    _mirror_map_report,
     i_function_identity_checks,
-    mirror_map_check,
 )
 from .rational import ONE, rat
 from .records import CheckReport
@@ -396,10 +396,12 @@ def suite_virasoro(config):
 def suite_mirror(config):
     report = CheckReport("hypergeometric frame")
     order = max(config.q_order // 2, 12)
+    # one alpha serves the battery and the mirror map two orders lower
+    appendix, al = _appendix_checks(order)
     for sub in (
-        appendix_identity_checks(order),
+        appendix,
         i_function_identity_checks(12),
-        mirror_map_check(max(10, order - 2)),
+        _mirror_map_report(order - 2, al),
     ):
         for name, ok, detail in sub.rows:
             report.add(name, ok, detail)

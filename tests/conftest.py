@@ -66,3 +66,22 @@ def assert_round_trips(value, mappings):
                 setattr(clone, name, {})
             with pytest.raises(TypeError):
                 getattr(clone, name)["key"] = 0
+
+
+def count_recurrence(monkeypatch):
+    """A list that records how many 1/Theta coefficients the grown tower of
+    `qmgw.theta` computes, one entry per extension."""
+    from qmgw import theta
+
+    counts = []
+    real = theta._reciprocal_loop
+
+    def loop(b, zero, out=None):
+        before = 0 if out is None else len(out)
+        out = real(b, zero, out)
+        counts.append(len(out) - before)
+        return out
+
+    monkeypatch.setattr(theta, "_reciprocal_loop", loop)
+    return counts
+

@@ -335,14 +335,17 @@ class TestVerifyCommand:
 
     def test_one_run_builds_each_intermediate_once(self, monkeypatch):
         # from empty caches: each Virasoro operator keeps its images of the
-        # probes, and the prime-form rows and the hae ladder each read one
+        # probes, the prime-form rows and the hae ladder each read one
         # 1/Theta (besides those of `npoint`, the two-point assembly and
-        # the prime-form anomaly rows)
-        from conftest import clear_package_caches
+        # the prime-form anomaly rows), and every 1/Theta is a prefix of
+        # one grown tower: the prime-form rows' z^24 is 26 coefficients
+        from conftest import clear_package_caches, count_recurrence
+        from qmgw import theta
         from qmgw.theta import one_over_theta
         from qmgw.virasoro import DiffOperator
 
         clear_package_caches()
+        steps = count_recurrence(monkeypatch)
         calls = []
         apply = DiffOperator.apply
 
@@ -355,6 +358,7 @@ class TestVerifyCommand:
         assert code == 0, out
         assert len(calls) <= 4300
         assert one_over_theta.cache_info().currsize <= 6
+        assert sum(steps) == len(theta._tower().recip) == 26
 
 
 class TestTables:

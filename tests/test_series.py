@@ -684,3 +684,34 @@ class TestRefusedCoefficients:
         for product in (lambda: f * "1/2", lambda: "1/2" * f):
             with pytest.raises(InvalidSeries, match="'1/2'"):
                 product()
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda f, c: f + c,
+            lambda f, c: f - c,
+            lambda f, c: f / c,
+            lambda f, c: c + f,
+            lambda f, c: c - f,
+            lambda f, c: f.divide(c),
+            lambda f, c: PowerSeries.constant("q", c, 2),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["1/2", None])
+    def test_sum_and_quotient(self, op, value):
+        with pytest.raises(InvalidSeries, match=repr(value)):
+            op(PowerSeries("q", [1, 2]), value)
+
+    def test_numbers_and_ring_elements_still_combine(self):
+        f = PowerSeries("q", [1, 2])
+        assert (f + 1, f - rat(1, 2), f / 2, 3 - f) == (
+            series("q", 2, 2), series("q", rat(1, 2), 2),
+            series("q", rat(1, 2), 1), series("q", 2, -2),
+        )
+        one = QMPolynomial.constant(1)
+        g = PowerSeries("z", [one, E2])
+        assert (g + E2).coeffs == (one + E2, E2)
+        assert (E2 - g).coeffs == (E2 - one, -E2)
+        assert (g / (one * 2)).coeffs == (one / 2, E2 / 2)
+        with pytest.raises(InvalidSeries, match="invertible"):
+            g / E2
