@@ -13,6 +13,7 @@ from math import factorial
 
 from .chazy import (
     D_DS,
+    _ramanujan_residuals,
     chazy_residual,
     chazy_solve_s,
     fjrw_genus1_series,
@@ -21,7 +22,6 @@ from .chazy import (
 from .errors import InsufficientOrder, InvalidSeries, UnsupportedInsertion
 from .hurwitz import connected_stationary
 from .modular import qm_eval
-from .rational import rat
 from .series import PowerSeries
 from .theta import onepoint_from_b
 
@@ -56,13 +56,19 @@ class CayleyFrame(namedtuple("CayleyFrame", "e2 e4 e6")):
         return self.e2.order
 
     def validate(self):
-        """Chazy for the E2 image and all three Ramanujan identities, d/ds."""
+        """Chazy for the E2 image and all three Ramanujan identities, d/ds.
+
+        The four residuals run on ints over the frame's least common
+        denominators (`chazy`); the three images must be power series over
+        Q starting at exponent 0.
+        """
         e2, e4, e6 = self
+        r2, r4, r6 = _ramanujan_residuals(e2, e4, e6, D_DS)
         checks = {
             "chazy(CE2)": chazy_residual(e2, D_DS),
-            "ramanujan E2": e2.derive(D_DS) - (e2 * e2 - e4) * rat(1, 12),
-            "ramanujan E4": e4.derive(D_DS) - (e2 * e4 - e6) * rat(1, 3),
-            "ramanujan E6": e6.derive(D_DS) - (e2 * e6 - e4 * e4) * rat(1, 2),
+            "ramanujan E2": r2,
+            "ramanujan E4": r4,
+            "ramanujan E6": r6,
         }
         failures = [name for name, r in checks.items() if not r.is_zero()]
         if failures:

@@ -20,10 +20,10 @@ over ZZ, in the layout of FLINT's fmpq_poly: each factor is scaled to
 integers over its least common denominator, f = F/D_f and g = G/D_g, the
 two integer lists are convolved, and each coefficient of F*G is wrapped
 once as a Fraction over D_f * D_g (with no gcd when that is 1).  This is
-the Horner step of `modular.qm_eval` on the Cayley frame, the frame
-itself and the residuals of chazy and bp.  Any other pair, one with
-generator-polynomial coefficients for instance, is convolved over its
-coefficients' own ring.
+the Horner step of `modular.qm_eval` on the Cayley frame and the frame
+itself; the residuals of `chazy` run the same layout end to end.  Any
+other pair, one with generator-polynomial coefficients for instance, is
+convolved over its coefficients' own ring.
 
 The reciprocal and exp are one recurrence each, run by one loop over
 every ring; the rings differ only in how the operand is scaled in and the

@@ -19,6 +19,7 @@ from .cayley import cayley_frame, cayley_transform
 from .chazy import (
     D_DS,
     THETA_Q,
+    _ramanujan_residuals,
     bp_residual,
     chazy_residual,
     chazy_solve_s,
@@ -94,17 +95,13 @@ def suite_ramanujan(config):
         eisenstein(4, order),
         eisenstein(6, order),
     )
-    checks = [
-        ("theta_q E2 = (E2^2 - E4)/12", theta_q(e2), (e2 * e2 - e4) * rat(1, 12)),
-        ("theta_q E4 = (E2 E4 - E6)/3", theta_q(e4), (e2 * e4 - e6) * rat(1, 3)),
-        (
-            "theta_q E6 = (E2 E6 - E4^2)/2",
-            theta_q(e6),
-            (e2 * e6 - e4 * e4) * rat(1, 2),
-        ),
-    ]
-    for name, lhs, rhs in checks:
-        diff = lhs - rhs
+    names = (
+        "theta_q E2 = (E2^2 - E4)/12",
+        "theta_q E4 = (E2 E4 - E6)/3",
+        "theta_q E6 = (E2 E6 - E4^2)/2",
+    )
+    diffs = _ramanujan_residuals(e2, e4, e6, THETA_Q)
+    for name, diff in zip(names, diffs):
         report.add(
             name,
             diff.is_zero(),
