@@ -10,6 +10,7 @@ import random
 
 from ._backend import add_into, exp_mul_dict
 from .anomaly import (
+    _frame_substitution,
     _onepoint_transport,
     d_dC2,
     hae_onepoint_check,
@@ -270,6 +271,46 @@ def _two_point_matches_closed_form(dz):
     return total == assembled.data
 
 
+def _partitions_with_first(indices):
+    """Blocks B containing indices[0], paired with the complement."""
+    first, rest = indices[0], indices[1:]
+    for mask in range(1 << len(rest)):
+        block = (first,) + tuple(
+            rest[i] for i in range(len(rest)) if mask >> i & 1
+        )
+        comp = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
+        yield block, comp
+
+
+def connected_from_disconnected(legs):
+    """The reference cumulant inversion over subsets of leg positions.
+
+    With disc(S) the disconnected value of the legs at the positions S,
+
+        disc(S) = sum over partitions of S of prod over blocks conn(B).
+
+    It knows nothing of multisets, unlike `connected_stationary`: about
+    3^N / 2 products for N legs, each subset fitted on its own.
+    """
+    disc, conn = {}, {}
+
+    def fitted(subset):
+        if subset not in disc:
+            disc[subset] = stationary_invariant(tuple(legs[i] for i in subset))
+        return disc[subset]
+
+    def connected(subset):
+        if subset not in conn:
+            value = fitted(subset)
+            for block, comp in _partitions_with_first(subset):
+                if comp:
+                    value = value - connected(block) * fitted(comp)
+            conn[subset] = value
+        return conn[subset]
+
+    return connected(tuple(range(len(legs))))
+
+
 def suite_weights(config):
     report = CheckReport("weight bookkeeping")
     dz = min(config.z_order, 10)
@@ -324,6 +365,14 @@ def suite_weights(config):
             margin=config.margin,
         )
         report.add(f"round trip through q-expansion, legs {legs}", back == val)
+    # each tuple has a block B with n(B) > 1 at even weight, where the
+    # multiplicity of `connected_stationary` shows
+    for legs in [(0, 2, 2), (1, 1, 1, 1)]:
+        report.add(
+            f"connected value equals the cumulant inversion over leg "
+            f"subsets, legs {legs}",
+            connected_stationary(legs) == connected_from_disconnected(legs),
+        )
     return report
 
 
@@ -406,6 +455,10 @@ def suite_mirror(config):
 
 
 def suite_fjrw(config):
+    """The Cayley frame against reference coefficients, and the one-point
+    transport to genus 7 by two routes: the production Horner of
+    `qm_eval` (side a, the transports `verify hae` built, if it ran) and
+    `_frame_substitution` on ints (side b), which share no code."""
     report = CheckReport("frame transport")
     frame = cayley_frame(max(config.s_order, 12))
     want = {
@@ -422,24 +475,12 @@ def suite_fjrw(config):
         report.add(
             name, all(series.coefficient(n) == v for n, v in coeffs.items())
         )
-    # side b substitutes the frame into the tower monomial by monomial,
-    # from powers built here, so it shares no code with qm_eval; each
-    # column CE4^j CE6^k is built once for all genera, and side a is the
-    # transport `verify hae` built, if it ran
-    powers = [[x ** 0] for x in frame]
-    for row, x in zip(powers, frame):
-        for _ in range(7):  # genus <= 7: every exponent is <= 7
-            row.append(row[-1] * x)
-    columns = {}
     oot = one_over_theta(15)  # the 1/Theta of the hae ladder to genus 7
-    for g in range(1, 8):
+    images = _frame_substitution(
+        [oot.coefficient(2 * g - 1) for g in range(1, 8)], frame
+    )
+    for g, b in enumerate(images, 1):
         a = _onepoint_transport(g, frame.order)
-        b = PowerSeries.zero("s", frame.order)
-        for (i, j, k), v in oot.coefficient(2 * g - 1).terms.items():
-            column = columns.get((j, k))
-            if column is None:
-                column = columns[(j, k)] = powers[1][j] * powers[2][k]
-            b = b + powers[0][i] * column * v
         report.add(f"one-point transport at genus {g}", a == b)
     one = connected_stationary((0,))
     two = connected_stationary((0, 0))

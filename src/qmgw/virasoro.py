@@ -26,7 +26,8 @@ the quantization share this one encoding.  The operators' coefficients
 are integers, (k+1)! and rising factorials of integers, so they are kept
 as Python ints, and so are their commutators, their integer multiples,
 the probes of the bracket check and the quantization's iterate: no
-rational arithmetic runs there.
+rational arithmetic runs there.  The quantization takes and returns this
+encoding and iterates on monomials packed into ints (`QuantizedS`).
 """
 
 from bisect import bisect_left
@@ -287,11 +288,6 @@ def theories_structurally_equal(k, level_cap):
 # quantization
 
 
-def _degree0(mono):
-    """Sector-0 degree of a monomial."""
-    return sum(x for (s, _), x in mono if s == 0)
-
-
 class QuantizedS(Frozen):
     """Action of the ancestor/descendent quantization operator
 
@@ -300,33 +296,34 @@ class QuantizedS(Frozen):
     on the truncated polynomial ring.  The squared-variable term is the
     quantization of a q^2-Hamiltonian and carries an hbar^{-1} grading;
     results are returned as {hbar_power: polynomial} with the grading
-    never summed over.  The vector-field part, the `DiffOperator` V =
-    sum_{k < L} q[0,k+1] d/d q[0,k], substitutes level k -> k+1 in sector
-    0, so it is nilpotent once levels are capped; the multiplication part
-    raises degree and is capped by MAX_DEGREE, a bound on the sector-0
-    degree of its output.  On a monomial of sector-0 degree d, V applies
-    at most max(d, MAX_DEGREE) * L times and the multiplication at most
+    never summed over.  The vector-field part V = sum_{k < L} q[0,k+1]
+    d/d q[0,k] substitutes level k -> k+1 in sector 0, so it is nilpotent
+    once levels are capped; the multiplication part raises degree and is
+    capped by MAX_DEGREE, a bound on the sector-0 degree of its output.
+    On a monomial of sector-0 degree d, V applies at most
+    max(d, MAX_DEGREE) * L times and the multiplication at most
     MAX_DEGREE // 2 times, which bounds the number of nonzero powers.
 
     With t = a/b, the hbar^{-j} part of the N-th power of the generator is
     (-a/b)^N / 2^j times the hbar^{-j} part of (V + q[0,0]^2/hbar)^N.  That
-    power is iterated by `DiffOperator.apply` and `poly_mul_mono` on the
-    input scaled to integers, so every coefficient stays an exact int until
-    one final division per output monomial.
+    power is iterated on the input scaled to integers, so every
+    coefficient stays an exact int until one final division per output
+    monomial.  The monomials are grouped by the part V and the square
+    never touch (the other sectors, and sector-0 levels above L), and
+    within a group each graded monomial is one int: j of hbar^{-j}, the
+    sector-0 exponents at levels 0..L and, in the top slot, the whole
+    sector-0 degree.  A step of V is one add per shifted level, the square
+    one add, the MAX_DEGREE test one compare, and each output monomial is
+    unpacked once.
     """
 
     MAX_DEGREE = 6
 
-    __slots__ = ("t", "level_cap", "_vector_field")
+    __slots__ = ("t", "level_cap")
 
     def __init__(self, t, level_cap):
         object.__setattr__(self, "t", rat(t))
         object.__setattr__(self, "level_cap", level_cap)
-        object.__setattr__(
-            self,
-            "_vector_field",
-            DiffOperator((((0, k + 1), (0, k)), 1) for k in range(level_cap)),
-        )
 
     def apply(self, poly):
         """exp of the combined generator; returns {hbar_power: poly}."""
@@ -334,56 +331,74 @@ class QuantizedS(Frozen):
             return {0: dict(poly)} if poly else {}
         if any(s == 0 and l < 0 for mono in poly for (s, l), _ in mono):
             raise InvalidSeries("variable levels are psi-powers, >= 0")
+        cap, most = self.level_cap, self.MAX_DEGREE
         nums, den = scaled_ints([rat(c) for c in poly.values()])
-        degree = max([self.MAX_DEGREE] + [_degree0(mono) for mono in poly])
-        limit = degree * self.level_cap + self.MAX_DEGREE // 2 + 1
-        square = (((0, 0), 2),)
-        # powers[k][j] = hbar^{-j} part of (V + q[0,0]^2/hbar)^k applied to
-        # the scaled input
-        powers = []
-        frontier = {0: dict(zip(poly, nums))}
-        while frontier:
-            powers.append(frontier)
-            if len(powers) > limit:
-                raise InvalidSeries(
-                    "quantization exponential failed to terminate"
-                )
-            step = {}
-            for j, p in frontier.items():
-                add_into(
-                    step.setdefault(j, {}), self._vector_field.apply(p).items()
+        degree = max([most] + [sum(e for (s, _), e in m if s == 0) for m in poly])
+        # slot 0 holds j of hbar^{-j} (j <= most // 2), slot l + 1 the
+        # exponent at level l and the top slot the sector-0 degree: no
+        # exponent exceeds the degree, which fits `width` bits
+        width = degree.bit_length()
+        mask = (1 << width) - 1
+        top = width * (cap + 2)
+        shifts = [(width * l, mask << width * l) for l in range(1, cap + 1)]
+        square = (2 << top) + (2 << width) + 1
+        room = (most - 1) << top  # below it, degree <= most - 2
+        # each slot's (variable, exponent) pairs, shared by every output
+        slots = [
+            (width * (l + 1), [((0, l), e) for e in range(mask + 1)])
+            for l in range(cap + 1)
+        ]
+        groups = {}
+        for mono, u in zip(poly, nums):
+            packed, rest = 0, []
+            for var, e in mono:
+                if var[0] == 0:
+                    packed += e << top
+                    if var[1] <= cap:
+                        packed += e << width * (var[1] + 1)
+                        continue
+                rest.append((var, e))
+            groups.setdefault(tuple(rest), []).append((packed, u))
+        a, b = self.t.numerator, self.t.denominator
+        out = {}
+        for rest, pairs in groups.items():
+            # powers[k] = (V + q[0,0]^2/hbar)^k on the group's scaled input
+            powers = [add_into({}, pairs)]
+            while powers[-1]:
+                if len(powers) > degree * cap + most // 2 + 1:
+                    raise InvalidSeries(
+                        "quantization exponential failed to terminate"
+                    )
+                p = powers[-1]
+                step = add_into(
+                    {},
+                    (
+                        (m + delta, (m >> at & mask) * c)
+                        for m, c in p.items()
+                        for at, delta in shifts
+                        if m >> at & mask
+                    ),
                 )
                 # the truncation parameter governs only the operator's own
                 # sector: capping sector-0 degree keeps the action exactly
                 # commuting with everything built from the other sectors.
-                low = {
-                    mono: c
-                    for mono, c in p.items()
-                    if _degree0(mono) <= self.MAX_DEGREE - 2
-                }
-                add_into(
-                    step.setdefault(j + 1, {}),
-                    poly_mul_mono(low, square, 1).items(),
-                )
-            frontier = {j: p for j, p in step.items() if p}
-        # with t = a/b and N the last power, sum_k (-t)^k/k! powers[k] is
-        # sum_k (-a)^k b^(N-k) N!/k! powers[k] / (b^N N!)
-        a, b = self.t.numerator, self.t.denominator
-        top = len(powers) - 1
-        weights = [b**top * factorial(top)]
-        for k in range(1, top + 1):
-            weights.append(weights[-1] * -a // (b * k))
-        base = den * weights[0]
-        sums = {}
-        for w, power in zip(weights, powers):
-            for j, p in power.items():
-                acc = sums.setdefault(j, {})
+                lift = ((m + square, c) for m, c in p.items() if m < room)
+                powers.append(add_into(step, lift))
+            # with t = a/b and N at or past the last nonzero power,
+            # sum_k (-t)^k/k! powers[k] is
+            # sum_k (-a)^k b^(N-k) N!/k! powers[k] / (b^N N!)
+            n = len(powers) - 1
+            weights = [b**n * factorial(n)]
+            for k in range(1, n + 1):
+                weights.append(weights[-1] * -a // (b * k))
+            acc = {}
+            for w, p in zip(weights, powers):
                 add_into(acc, ((m, w * c) for m, c in p.items()))
-        return {
-            -j: {m: rat(c, base << j) for m, c in acc.items()}
-            for j, acc in sums.items()
-            if acc
-        }
+            for m, c in acc.items():
+                mono = tuple(row[e] for at, row in slots if (e := m >> at & mask))
+                j = m & mask
+                out.setdefault(-j, {})[mono + rest] = rat(c, den * weights[0] << j)
+        return out
 
 
 def quantization_S(t, level_cap):

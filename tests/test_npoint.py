@@ -10,58 +10,9 @@ from qmgw.hurwitz import connected_stationary, stationary_invariant
 from qmgw.modular import E2, E4, QMPolynomial, ramanujan_derive
 from qmgw.rational import ONE, rat
 from qmgw.theta import one_over_theta
+from qmgw.verify import connected_from_disconnected
 
 C2 = E2 * rat(-1, 24)
-
-
-def _nonempty_subsets(n):
-    out = []
-    for mask in range(1, 1 << n):
-        out.append(tuple(i for i in range(n) if mask >> i & 1))
-    return out
-
-
-def _partitions_with_first(indices):
-    """Blocks B containing indices[0], paired with the complement."""
-    first, rest = indices[0], indices[1:]
-    for mask in range(1 << len(rest)):
-        block = (first,) + tuple(
-            rest[i] for i in range(len(rest)) if mask >> i & 1
-        )
-        comp = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
-        yield block, comp
-
-
-def connected_from_disconnected(legs, tables):
-    """The reference cumulant inversion over subsets of leg positions.
-
-    `tables` maps every nonempty subset of positions (a sorted tuple of
-    indices) to its disconnected value, and
-
-        disc(S) = sum over partitions of S of prod over blocks conn(B).
-
-    It knows nothing of multisets: about 3^N / 2 products for N legs.
-    """
-    cache = {}
-
-    def conn(subset):
-        if subset not in cache:
-            value = tables[subset]
-            for block, comp in _partitions_with_first(subset):
-                if comp:
-                    value = value - conn(block) * tables[comp]
-            cache[subset] = value
-        return cache[subset]
-
-    return conn(tuple(range(len(legs))))
-
-
-def subset_tables(legs):
-    """The disconnected value of every nonempty subset of positions."""
-    return {
-        s: stationary_invariant(tuple(legs[i] for i in s))
-        for s in _nonempty_subsets(len(legs))
-    }
 
 
 def oracle_grid():
@@ -291,12 +242,12 @@ class TestConnectedFromDisconnected:
 
     @pytest.mark.parametrize("legs", oracle_grid(), ids=str)
     def test_matches_the_subset_inversion(self, legs):
-        want = connected_from_disconnected(legs, subset_tables(legs))
+        want = connected_from_disconnected(legs)
         assert connected_stationary(legs) == want
 
     def test_each_multiset_fitted_once(self, monkeypatch):
         legs = (1,) * 7
-        want = connected_from_disconnected(legs, subset_tables(legs))
+        want = connected_from_disconnected(legs)
         calls = []
 
         def counting(sub_legs, z_order=None):

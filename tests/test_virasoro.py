@@ -236,6 +236,28 @@ class TestQuantization:
     def test_matches_the_fraction_series(self, seed):
         rng = random.Random(seed)
         cases = [(rat(1, 2), 3, {}), (rat(-2, 3), 2, {(): rat(5)})]
+        # sector-0 levels above the cap, which count toward the degree
+        above = {
+            _mono({(0, 1): 2, (0, 4): 1}): rat(3, 2),
+            _mono({(0, 3): 2}): 1,
+        }
+        cases.append((rat(1, 3), 2, above))
+        # a sector-0 degree above MAX_DEGREE
+        high = {_mono({(0, 0): 3, (0, 2): 2, (0, 5): 2}): 4}
+        cases.append((rat(-1, 2), 3, high))
+        # parts V and the square never touch, with power chains of
+        # different lengths: the weights are shared across the groups
+        parts = {
+            (): 1,
+            _mono({(0, 0): 2, (3, 1): 1}): -1,
+            _mono({(0, 6): 1, (2, 2): 2}): rat(5, 3),
+            _mono({(0, 4): 6, (1, 0): 1}): rat(1, 7),
+            _mono({(0, 2): 1, (1, 0): 1}): 2,
+        }
+        cases.append((rat(2, 3), 4, parts))
+        for level_cap in range(9):
+            probe = {_mono({(0, 0): 1, (3, level_cap): 1}): 2, (): rat(1, 5)}
+            cases.append((rat(-3, 4), level_cap, probe))
         for _ in range(12):
             level_cap = rng.randint(0, 5)
             t = rat(rng.randint(-5, 5), rng.randint(1, 4))
