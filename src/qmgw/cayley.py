@@ -16,7 +16,8 @@ from .chazy import (
     _ramanujan_residuals,
     chazy_residual,
     chazy_solve_s,
-    fjrw_genus1_series,
+    # read off the Chazy ints, and served here with the cubic-side values
+    fjrw_primary_genus1_invariants,
     genus_one_initial_data,
 )
 from .errors import InsufficientOrder, InvalidSeries, UnsupportedInsertion
@@ -84,8 +85,10 @@ def cayley_frame(order):
         CE4 = CE2^2 - 12 d/ds CE2,
         CE6 = CE2*CE4 - 3 d/ds CE4.
 
-    Built once per order; the cached frame is a tuple of series and is
-    shared by every caller.
+    CE2 comes off the integer recurrence of `chazy_solve_s`, each
+    coefficient wrapped once; the two products run on ints over the
+    factors' least common denominators (`series`).  Built once per order;
+    the cached frame is a tuple of series and is shared by every caller.
     """
     if order < 3:
         raise InsufficientOrder("cayley_frame needs order >= 3", required=3)
@@ -162,10 +165,3 @@ def extract_fjrw_invariants(f, base_n, max_m=None):
     for m in range(min(max_m, f.order) + 1):
         out.append((base_n + m, factorial(m) * f.coefficient(m)))
     return out
-
-
-def fjrw_primary_genus1_invariants(max_n):
-    """(n, Theta_{1,n}) for n = 1..max_n from the genus-one series."""
-    series = fjrw_genus1_series(max(max_n, 2))
-    values = extract_fjrw_invariants(series, base_n=1, max_m=max_n - 1)
-    return values[:max_n]

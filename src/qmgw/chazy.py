@@ -7,6 +7,15 @@ plain d/ds and the formal solution is pinned by three initial terms.  The
 genus-one FJRW series is -1/24 times the s-frame solution whose second
 derivative is fixed by the initial three-insertion invariant.
 
+The s-frame solution runs on ints.  The equation is invariant under the
+scaling f -> lam f(lam s) (Clarkson and Olver, J. Differential Equations
+124 (1996) 225-246), so with lam = 2 lcm(denominators of the initial
+data) the Taylor coefficients B_k = lam^(k+1) f^(k)(0) of the scaled
+solution are ints, and the equation becomes a recurrence on them with
+binomial weights; each series coefficient is wrapped once as
+B_k / (k! lam^(k+1)), and the genus-one invariants are read off the same
+ints.
+
 The residuals of this equation, of the boundary relation and of the
 Ramanujan identities each run in one pass over ZZ, in the layout of
 FLINT's fmpq_poly that `series` uses for products: the operands are
@@ -18,6 +27,9 @@ power series over Q starting at exponent 0, and each residual keeps the
 variable, start and order that the same formula in series operations
 gives.
 """
+
+from math import factorial, lcm
+from operator import add, mul
 
 from ._backend import conv_trunc
 from .errors import InsufficientOrder, InvalidSeries
@@ -133,32 +145,43 @@ def _ramanujan_residuals(e2, e4, e6, mode):
     return tuple(out)
 
 
+def _chazy_taylor(init, order):
+    """(B, lam): the Taylor coefficients b_k = f^(k)(0), k <= order, of
+    the s-frame solution with initial data `init`, as the ints
+    B_k = lam^(k+1) b_k with lam = 2 lcm(denominators of `init`).
+
+    B is the Taylor sequence of lam f(lam s), which solves the equation
+    too and starts from ints, so that
+        2 B_{k+3} = sum_i C(k, i) (2 B_i B_{k+2-i} - 3 B_{i+1} B_{k+1-i});
+    the sum is even, since the -3 terms pair up under i <-> k - i,
+    C(k, k/2) is even for k >= 2 and B_1 is even.
+    """
+    f0, f1, f2 = (rat(x) for x in init)
+    lam = 2 * lcm(f0.denominator, f1.denominator, f2.denominator)
+    B = [int(x * lam ** (i + 1)) for i, x in enumerate((f0, f1, f2))]
+    row = [1]  # C(k, 0..k)
+    for k in range(order - 2):
+        p = sum(map(mul, map(mul, row, B), B[k + 2 : 1 : -1]))
+        q = sum(map(mul, map(mul, row, B[1:]), B[k + 1 : 0 : -1]))
+        B.append((2 * p - 3 * q) >> 1)
+        row = [1, *map(add, row, row[1:]), 1]
+    return B, lam
+
+
 def chazy_solve_s(init, order):
     """The unique formal solution in s with initial data
-    `init` = (f(0), f'(0), f''(0)):
+    `init` = (f(0), f'(0), f''(0)), to s^order.
 
-    a0 = f(0), a1 = f'(0), a2 = f''(0)/2, and for k >= 0
-        2 (k+1)(k+2)(k+3) a_{k+3} = [s^k] (2 f f'' - 3 (f')^2),
-    which only involves a_0..a_{k+2}.
+    The recurrence runs on the ints B_k = lam^(k+1) f^(k)(0) of
+    `_chazy_taylor`, and each coefficient is wrapped once as
+    a_k = B_k / (k! lam^(k+1)).
     """
     if order < 2:
         raise InvalidSeries("chazy_solve_s needs order >= 2")
-    f0, f1, f2 = init
-    a = [rat(f0), rat(f1), rat(f2) / 2]
-    for k in range(order - 2):
-        # [s^k] of 2 f f'':  f_i * (j+2)(j+1) f_{j+2} over i + j = k
-        acc = ZERO
-        for i in range(k + 1):
-            j = k - i
-            if a[i] and a[j + 2]:
-                acc += 2 * a[i] * ((j + 1) * (j + 2) * a[j + 2])
-        # [s^k] of -3 (f')^2: (i+1) f_{i+1} * (j+1) f_{j+1} over i + j = k
-        for i in range(k + 1):
-            j = k - i
-            if a[i + 1] and a[j + 1]:
-                acc -= 3 * ((i + 1) * a[i + 1]) * ((j + 1) * a[j + 1])
-        a.append(acc / (2 * (k + 1) * (k + 2) * (k + 3)))
-    return PowerSeries("s", a[: order + 1])
+    B, lam = _chazy_taylor(init, order)
+    return PowerSeries(
+        "s", [rat(b, factorial(k) * lam ** (k + 1)) for k, b in enumerate(B)]
+    )
 
 
 def genus_one_initial_data():
@@ -177,3 +200,10 @@ def fjrw_genus1_series(order):
     f = chazy_solve_s(genus_one_initial_data(), order)
     return f * rat(-1, 24)
 
+
+def fjrw_primary_genus1_invariants(max_n):
+    """(n, Theta_{1,n}) for n = 1..max_n, read off the ints of the
+    genus-one solution: Theta_{1,m+1} = m! [s^m] (-f/24) =
+    -B_m / (24 lam^(m+1)) with B_m = lam^(m+1) f^(m)(0)."""
+    B, lam = _chazy_taylor(genus_one_initial_data(), max_n - 1)
+    return [(m + 1, rat(-B[m], 24 * lam ** (m + 1))) for m in range(max_n)]

@@ -241,7 +241,7 @@ def cmd_fjrw(args, config, out):
 
 def _cached_genus1_invariants(config, max_n):
     def compute():
-        from .cayley import fjrw_primary_genus1_invariants
+        from .chazy import fjrw_primary_genus1_invariants
 
         return fjrw_primary_genus1_invariants(max_n)
 

@@ -32,17 +32,37 @@ _set = object.__setattr__
 
 
 @lru_cache(maxsize=None)
-def bernoulli(n):
-    """Bernoulli number B_n in the x/(e^x - 1) convention (B_1 = -1/2)."""
-    if n == 0:
-        return ONE
-    # sum_{j=0}^{n} C(n+1, j) B_j = 0
-    from math import comb
+def _tangent_numbers(n):
+    """(T_1, ..., T_n), tan x = sum_k T_k x^(2k-1)/(2k-1)!, by the integer
+    algorithm of Brent and Harvey (arXiv:1108.0286, Algorithm
+    TangentNumbers): n^2/2 steps, each two small multiples of ints."""
+    t = [1]
+    for k in range(2, n + 1):
+        t.append((k - 1) * t[-1])
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j - 1] = (j - k) * t[j - 2] + (j - k + 2) * t[j - 1]
+    return tuple(t)
 
-    acc = ZERO
-    for j in range(n):
-        acc += comb(n + 1, j) * bernoulli(j)
-    return -acc / (n + 1)
+
+@lru_cache(maxsize=None)
+def bernoulli(n):
+    """Bernoulli number B_n in the x/(e^x - 1) convention (B_1 = -1/2).
+
+    B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) is read off the integer
+    tangent numbers T_k, whose table is built on first use at a power of
+    two (at least 16 entries), so a larger n rebuilds it at most once per
+    doubling; each B_{2k} is wrapped once.
+    """
+    if n < 0:
+        raise ValueError(f"no Bernoulli number B_{n}")
+    if n < 2:
+        return ONE if n == 0 else rat(-1, 2)
+    if n % 2:
+        return ZERO
+    k = n // 2
+    t = _tangent_numbers(max(16, 1 << (k - 1).bit_length()))[k - 1]
+    return rat((-1) ** (k - 1) * n * t, 4**k * (4**k - 1))
 
 
 def _divisor_power_sums(power, order, lo=0):

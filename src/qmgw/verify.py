@@ -418,7 +418,7 @@ def suite_virasoro(config):
             f"failing pairs {failures}" if failures else "",
         )
     report.add(
-        "curve and cubic operators coincide under relabeling",
+        "cubic operators from 1, b1, b2, phi = curve's under the label map",
         all(theories_structurally_equal(k, cap) for k in range(-1, 4)),
     )
     s_op = quantization_S(rat(1, 2), 6)

@@ -11,14 +11,19 @@ the psi-power, capped at L.  Both theories share one operator shape:
           + sum_l (l+1)_{k+1} t[1,l] d/d t[1, k+l]
           + sum_l (l)_{k+1}   t[2,l] d/d t[2, k+l]
 
-with (a)_n the rising factorial, (a)_0 = 1.  For k = -1 this is read
-literally: (k+1)! = 1, the affine term is -d/d t[0,0], and summation
-terms targeting level -1 act as zero on the ring.  Operators truncate to
-levels <= L on both slots of every term, so the bracket relation holds
-only on the window of variables whose levels leave room for the
-compositions.  Every operator here is a derivation, fixed by its
-constant and linear terms, so the relation is checked by comparing the
-commutator with (n - m) L_{n+m} term by term over that window.
+with (a)_n the rising factorial, (a)_0 = 1.  Each theory builds the
+family from its own state space (`STATE_SPACES`): a class of Hodge
+bidegree (p, q) gets the offset p and acts on the variables of its curve
+sector, so the cubic's family comes from 1, b1, b2 and phi through the
+label map and equals the curve's only if the two spaces agree.  For
+k = -1 this is read literally: (k+1)! = 1, the affine term is
+-d/d t[0,0], and summation terms targeting level -1 act as zero on the
+ring.  Operators truncate to levels <= L on both slots of every term, so
+the bracket relation holds only on the window of variables whose levels
+leave room for the compositions.  Every operator here is a derivation,
+fixed by its constant and linear terms, so the relation is checked by
+comparing the commutator with (n - m) L_{n+m} term by term over that
+window.
 
 Polynomials are dicts mapping monomials (sorted tuples of ((sector,
 level), exponent)) to rationals; the monomial 1 is ().  The operators and
@@ -41,11 +46,21 @@ from .rational import ONE, rat, scaled_ints
 from .records import CheckReport
 
 SECTORS = (0, 1, 2, 3)
-THEORIES = ("curve", "fermat_cubic")
 
-#: per-sector Pochhammer offset of the operator family: sectors 0 and 2
-#: use (l)_{k+1}, sectors 3 and 1 use (l+1)_{k+1}.
-SECTOR_OFFSET = {0: 0, 1: 1, 2: 0, 3: 1}
+#: each theory's state space, class -> (curve sector, Hodge bidegree
+#: (p, q)): the curve's classes are its sectors, and the cubic's labels
+#: (those of `cayley.LABELS`) go to the curve's sectors under the mirror
+#: map.  The affine term differentiates the class of bidegree (0, 0).
+STATE_SPACES = {
+    "curve": {0: (0, (0, 0)), 1: (1, (1, 0)), 2: (2, (0, 1)), 3: (3, (1, 1))},
+    "fermat_cubic": {
+        "1": (0, (0, 0)),
+        "b1": (1, (1, 0)),
+        "b2": (2, (0, 1)),
+        "phi": (3, (1, 1)),
+    },
+}
+THEORIES = tuple(STATE_SPACES)
 
 
 def pochhammer(a, n):
@@ -198,9 +213,8 @@ def _by_src(op):
 def virasoro_op(theory, k, level_cap):
     """The Virasoro operator of the theory, truncated to levels <= cap.
 
-    `theory` only validates the name: both theories share the one operator
-    shape above, so this one builder makes the same operator for each.
-    Built once per (theory, k, cap); the cached operator is read-only.
+    Built from the theory's own state space (`STATE_SPACES`), once per
+    (theory, k, cap); the cached operator is read-only.
     """
     if theory not in THEORIES:
         raise InvalidSeries(f"unknown theory {theory!r}")
@@ -210,12 +224,13 @@ def virasoro_op(theory, k, level_cap):
         raise InvalidSeries(
             f"level cap {level_cap} too small for L_{k} (needs >= {k + 1})"
         )
-    terms = [(((), (0, k + 1)), -factorial(k + 1))]
-    for sector in SECTORS:
-        off = SECTOR_OFFSET[sector]
+    terms = []
+    for sector, (p, q) in STATE_SPACES[theory].values():
+        if (p, q) == (0, 0):
+            terms.append((((), (sector, k + 1)), -factorial(k + 1)))
         for l in range(level_cap + 1):
             if 0 <= k + l <= level_cap:
-                w = pochhammer(l + off, k + 1)
+                w = pochhammer(l + p, k + 1)
                 terms.append((((sector, l), (sector, k + l)), w))
     return DiffOperator(terms)
 
@@ -278,7 +293,8 @@ def virasoro_commutator_check(n, m, level_cap, theory="curve"):
 
 
 def theories_structurally_equal(k, level_cap):
-    """Curve and cubic operator families coincide under relabeling."""
+    """The cubic's L_k, built from its classes 1, b1, b2 and phi through
+    the label map, equals the curve's, built from its sectors."""
     a = virasoro_op("curve", k, level_cap)
     b = virasoro_op("fermat_cubic", k, level_cap)
     return a == b

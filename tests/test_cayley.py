@@ -7,11 +7,10 @@ from qmgw.cayley import (
     cayley_transform,
     extract_fjrw_invariants,
     fjrw_correlation,
-    fjrw_genus1_series,
     fjrw_onepoint_all_genus,
     fjrw_primary_genus1_invariants,
 )
-from qmgw.chazy import D_DS
+from qmgw.chazy import D_DS, fjrw_genus1_series
 from qmgw.errors import InsufficientOrder, InvalidSeries, UnsupportedInsertion
 from qmgw.modular import E2, QMPolynomial, ramanujan_derive
 from qmgw.rational import ZERO, parse_rat, rat

@@ -1,4 +1,5 @@
 import io
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -6,7 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import coeff_lists, rationals
 from qmgw import verify
-from qmgw.cayley import CayleyFrame, cayley_frame
+from qmgw.cayley import (
+    CayleyFrame,
+    cayley_frame,
+    fjrw_primary_genus1_invariants,
+)
 from qmgw.chazy import (
     D_DS,
     THETA_1_3,
@@ -21,7 +26,7 @@ from qmgw.chazy import (
 from qmgw.cli import main
 from qmgw.errors import InsufficientOrder, InvalidSeries, QmgwError
 from qmgw.modular import E2, E4, E6, eisenstein
-from qmgw.rational import ZERO, rat
+from qmgw.rational import ZERO, Rational, rat
 from qmgw.series import PowerSeries
 
 MODES = (THETA_Q, D_DS)
@@ -64,6 +69,24 @@ def reference_ramanujan(e2, e4, e6, mode):
 
 def layout(f):
     return f.var, f.start, f.order, f.coeffs
+
+
+def reference_solve_s(init, order):
+    """The s-frame solver one Fraction at a time, the reference of the
+    integer recurrence of `chazy_solve_s`: a0 = f(0), a1 = f'(0),
+    a2 = f''(0)/2 and, for k >= 0,
+        2 (k+1)(k+2)(k+3) a_{k+3} = [s^k] (2 f f'' - 3 (f')^2).
+    """
+    f0, f1, f2 = init
+    a = [rat(f0), rat(f1), rat(f2) / 2]
+    for k in range(order - 2):
+        acc = ZERO
+        for i in range(k + 1):
+            j = k - i
+            acc += 2 * a[i] * ((j + 1) * (j + 2) * a[j + 2])
+            acc -= 3 * ((i + 1) * a[i + 1]) * ((j + 1) * a[j + 1])
+        a.append(acc / (2 * (k + 1) * (k + 2) * (k + 3)))
+    return PowerSeries("s", a[: order + 1])
 
 
 @st.composite
@@ -263,6 +286,40 @@ class TestResiduals:
         # polynomial-expansion identity: chazy(-24 g) = -480 bp(g)
         g = s_series(coeffs)
         assert chazy_residual(-24 * g, D_DS) == -480 * bp_residual(g, D_DS)
+
+
+@st.composite
+def initial_triples(draw):
+    """(f(0), f'(0), f''(0)): zero, integral or with denominators up to 12."""
+    kind = draw(st.sampled_from(("zero", "integral", "rational")))
+    if kind == "zero":
+        return (ZERO, ZERO, ZERO)
+    max_den = 1 if kind == "integral" else 12
+    entry = rationals(max_num=30, max_den=max_den)
+    return draw(st.tuples(entry, entry, entry))
+
+
+class TestIntegerRecurrence:
+    @given(initial_triples(), st.integers(min_value=2, max_value=60))
+    def test_matches_the_fraction_reference(self, init, order):
+        got = chazy_solve_s(init, order)
+        assert layout(got) == layout(reference_solve_s(init, order))
+        assert all(type(c) is Rational for c in got.coeffs)
+
+    @pytest.mark.parametrize("order", [2, 3, 44, 120])
+    def test_genus_one_solution(self, order):
+        init = genus_one_initial_data()
+        got = chazy_solve_s(init, order)
+        assert layout(got) == layout(reference_solve_s(init, order))
+
+    def test_invariants_read_off_the_same_ints(self):
+        # Theta_{1,m+1} = m! [s^m] of the genus-one series, for every max_n
+        series = fjrw_genus1_series(120)
+        want = [(m + 1, factorial(m) * c) for m, c in enumerate(series.coeffs)]
+        for max_n in (-1, 0, 1, 2, 3, 9, 120):
+            got = fjrw_primary_genus1_invariants(max_n)
+            assert got == want[: max(max_n, 0)]
+            assert all(type(v) is Rational for _, v in got)
 
 
 class TestSolver:

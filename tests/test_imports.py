@@ -133,6 +133,12 @@ class TestStartup:
         loaded = _cli_imports(tmp_path, *argv, "--no-cache")
         assert {m for m in loaded if m.split(".")[0] == "qmgw"} <= allowed
 
+    def test_cold_genus_one_invariants_load_only_chazy(self, tmp_path):
+        # Theta_{1,n} are read off the Chazy ints: no frame, no hurwitz
+        argv = ("fjrw", "invariants", "--max", "6", "--no-cache")
+        loaded = _cli_imports(tmp_path, *argv) & MATH_MODULES
+        assert loaded == {"qmgw.chazy", "qmgw.series", "qmgw._backend"}
+
     def test_warm_eisenstein_read_loads_only_series(self, tmp_path):
         argv = ("tables", "eisenstein", "--k", "6", "--order", "30")
         _cli_imports(tmp_path, *argv)

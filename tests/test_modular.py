@@ -2,7 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
@@ -88,6 +88,39 @@ class TestEisenstein:
         assert bernoulli(4) == rat(-1, 30)
         assert bernoulli(6) == rat(1, 42)
         assert bernoulli(12) == rat(-691, 2730)
+
+
+def reference_bernoulli(n_max):
+    """B_0..B_{n_max} one Fraction at a time from the defining recursion
+    sum_{j=0}^{n} C(n+1, j) B_j = 0, the reference of the tangent-number
+    route of `bernoulli`."""
+    out = []
+    for n in range(n_max + 1):
+        acc = sum(comb(n + 1, j) * b for j, b in enumerate(out))
+        out.append(Fraction(1) if n == 0 else -acc / (n + 1))
+    return out
+
+
+class TestBernoulli:
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_matches_the_recursive_definition(self, order):
+        # from cold, so the tangent table is built for 16, 32 and 64
+        # entries in one order and for the largest first in the other
+        modular._tangent_numbers.cache_clear()
+        bernoulli.cache_clear()
+        ns = range(81) if order == "ascending" else range(80, -1, -1)
+        got = {n: bernoulli(n) for n in ns}
+        want = reference_bernoulli(80)
+        assert [got[n] for n in range(81)] == want
+        assert all(type(got[n]) is Fraction for n in range(81))
+
+    def test_tangent_numbers(self):
+        # tan x = x + 2 x^3/3! + 16 x^5/5! + 272 x^7/7! + ...
+        assert modular._tangent_numbers(5) == (1, 2, 16, 272, 7936)
+
+    def test_negative_index_refused(self):
+        with pytest.raises(ValueError, match="no Bernoulli number B_-2"):
+            bernoulli(-2)
 
 
 class TestEulerFunction:

@@ -172,6 +172,36 @@ class TestBracket:
         # L_0 enters the probes only through its images
         self.assert_both_halves_fail(monkeypatch, 0)
 
+    @pytest.mark.parametrize(
+        "cubic, bracket_fails",
+        [
+            # b1 and b2 with each other's bidegree: still a Virasoro family
+            ({"1": (0, (0, 0)), "b1": (1, (0, 1)), "b2": (2, (1, 0)),
+              "phi": (3, (1, 1))}, False),
+            # b1 and b2 on one sector: their terms add up, no longer one
+            ({"1": (0, (0, 0)), "b1": (1, (1, 0)), "b2": (1, (0, 1)),
+              "phi": (3, (1, 1))}, True),
+        ],
+    )
+    def test_cubic_rows_read_the_cubic_state_space(
+        self, monkeypatch, cubic, bracket_fails
+    ):
+        from qmgw.config import RunConfig
+        from qmgw.verify import suite_virasoro
+
+        monkeypatch.setitem(qmgw.virasoro.STATE_SPACES, "fermat_cubic", cubic)
+        virasoro_op.cache_clear()
+        try:
+            rows = {name: ok for name, ok, _ in suite_virasoro(RunConfig()).rows}
+        finally:
+            monkeypatch.undo()
+            virasoro_op.cache_clear()
+        failed = [name for name, ok in rows.items() if not ok]
+        want = ["cubic operators from 1, b1, b2, phi = curve's under the label map"]
+        if bracket_fails:
+            want.insert(0, "bracket relation on fermat_cubic, -1 <= n,m <= 3, cap 10")
+        assert failed == want
+
 
 def _mono(exponents):
     return tuple(sorted((v, e) for v, e in exponents.items() if e))
@@ -231,37 +261,50 @@ def _random_poly(rng, level_cap):
     return poly
 
 
+def _fixed_cases():
+    """(t, level_cap, poly) cases that do not depend on a seed."""
+    cases = [(rat(1, 2), 3, {}), (rat(-2, 3), 2, {(): rat(5)})]
+    # sector-0 levels above the cap, which count toward the degree
+    above = {
+        _mono({(0, 1): 2, (0, 4): 1}): rat(3, 2),
+        _mono({(0, 3): 2}): 1,
+    }
+    cases.append((rat(1, 3), 2, above))
+    # a sector-0 degree above MAX_DEGREE
+    high = {_mono({(0, 0): 3, (0, 2): 2, (0, 5): 2}): 4}
+    cases.append((rat(-1, 2), 3, high))
+    # parts V and the square never touch, with power chains of
+    # different lengths: the weights are shared across the groups
+    parts = {
+        (): 1,
+        _mono({(0, 0): 2, (3, 1): 1}): -1,
+        _mono({(0, 6): 1, (2, 2): 2}): rat(5, 3),
+        _mono({(0, 4): 6, (1, 0): 1}): rat(1, 7),
+        _mono({(0, 2): 1, (1, 0): 1}): 2,
+    }
+    cases.append((rat(2, 3), 4, parts))
+    for level_cap in range(9):
+        probe = {_mono({(0, 0): 1, (3, level_cap): 1}): 2, (): rat(1, 5)}
+        cases.append((rat(-3, 4), level_cap, probe))
+    return cases
+
+
+def _random_cases(seed):
+    """Twelve random (t, level_cap, poly) cases from `seed`."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(12):
+        level_cap = rng.randint(0, 5)
+        t = rat(rng.randint(-5, 5), rng.randint(1, 4))
+        cases.append((t, level_cap, _random_poly(rng, level_cap)))
+    return cases
+
+
 class TestQuantization:
-    @pytest.mark.parametrize("seed", range(4))
+    # the fixed cases run once, as their own parameter
+    @pytest.mark.parametrize("seed", [*range(4), "fixed"])
     def test_matches_the_fraction_series(self, seed):
-        rng = random.Random(seed)
-        cases = [(rat(1, 2), 3, {}), (rat(-2, 3), 2, {(): rat(5)})]
-        # sector-0 levels above the cap, which count toward the degree
-        above = {
-            _mono({(0, 1): 2, (0, 4): 1}): rat(3, 2),
-            _mono({(0, 3): 2}): 1,
-        }
-        cases.append((rat(1, 3), 2, above))
-        # a sector-0 degree above MAX_DEGREE
-        high = {_mono({(0, 0): 3, (0, 2): 2, (0, 5): 2}): 4}
-        cases.append((rat(-1, 2), 3, high))
-        # parts V and the square never touch, with power chains of
-        # different lengths: the weights are shared across the groups
-        parts = {
-            (): 1,
-            _mono({(0, 0): 2, (3, 1): 1}): -1,
-            _mono({(0, 6): 1, (2, 2): 2}): rat(5, 3),
-            _mono({(0, 4): 6, (1, 0): 1}): rat(1, 7),
-            _mono({(0, 2): 1, (1, 0): 1}): 2,
-        }
-        cases.append((rat(2, 3), 4, parts))
-        for level_cap in range(9):
-            probe = {_mono({(0, 0): 1, (3, level_cap): 1}): 2, (): rat(1, 5)}
-            cases.append((rat(-3, 4), level_cap, probe))
-        for _ in range(12):
-            level_cap = rng.randint(0, 5)
-            t = rat(rng.randint(-5, 5), rng.randint(1, 4))
-            cases.append((t, level_cap, _random_poly(rng, level_cap)))
+        cases = _fixed_cases() if seed == "fixed" else _random_cases(seed)
         for t, level_cap, poly in cases:
             op = quantization_S(t, level_cap)
             want = oracle_quantization(t, level_cap, op.MAX_DEGREE, poly)
